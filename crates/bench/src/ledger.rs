@@ -69,6 +69,57 @@ pub fn append_to_file(path: &str, records: &[String]) -> String {
     json
 }
 
+/// The top-level records of a ledger, each trimmed, in file order: the
+/// inverse of [`append_records`] up to outer whitespace. A blank ledger
+/// has none, and a legacy single-object file is its one record. The split
+/// tracks brackets and string literals, so commas inside records never
+/// split them.
+///
+/// # Panics
+/// Panics if `contents` holds neither a JSON array nor an object, like
+/// [`append_records`].
+pub fn records(contents: &str) -> Vec<&str> {
+    let trimmed = contents.trim();
+    if trimmed.is_empty() {
+        return Vec::new();
+    }
+    if trimmed.starts_with('{') && trimmed.ends_with('}') {
+        return vec![trimmed];
+    }
+    let body = trimmed
+        .strip_prefix('[')
+        .and_then(|s| s.strip_suffix(']'))
+        .unwrap_or_else(|| panic!("ledger holds neither a JSON array nor an object"));
+    let mut out = Vec::new();
+    let (mut depth, mut in_string, mut escaped, mut start) = (0usize, false, false, 0);
+    for (i, c) in body.char_indices() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => depth += 1,
+            '}' | ']' => depth = depth.saturating_sub(1),
+            ',' if depth == 0 => {
+                out.push(body[start..i].trim());
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    let last = body[start..].trim();
+    if !last.is_empty() {
+        out.push(last);
+    }
+    out
+}
+
 /// Renders a flat JSON object from pre-rendered `"key": value` pairs,
 /// indented to sit inside a ledger array. The values are the caller's
 /// responsibility (use [`json_str`] for strings).
@@ -119,6 +170,20 @@ mod tests {
         // The existing body is re-embedded trimmed (its outer indentation
         // is not preserved); records keep their own internal layout.
         assert_eq!(v2, "[\n{ \"a\": 1 },\n  { \"b\": 2 },\n  { \"c\": 3 }\n]\n");
+    }
+
+    #[test]
+    fn records_split_what_append_joined() {
+        assert!(records("").is_empty());
+        assert!(records("[\n]\n").is_empty());
+        let a = json_object(&[("k", json_str("a, [b] {c} \"d\"")), ("n", "1".into())]);
+        let b = json_object(&[("nested", json_object(&[("x", "[1, 2]".into())]))]);
+        let ledger = append_records(
+            &append_records("", std::slice::from_ref(&a)),
+            &[b.clone(), a.clone()],
+        );
+        assert_eq!(records(&ledger), vec![a.trim(), b.trim(), a.trim()]);
+        assert_eq!(records("{ \"legacy\": 1 }"), vec!["{ \"legacy\": 1 }"]);
     }
 
     #[test]

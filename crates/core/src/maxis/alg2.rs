@@ -272,8 +272,7 @@ impl Protocol for Alg2Node {
                         layer,
                         prio: self.my_prio,
                     };
-                    let gone = self.gone.clone();
-                    ctx.broadcast_filtered(msg, |p| !gone[p]);
+                    ctx.broadcast_filtered(msg, |p| !self.gone[p]);
                 }
                 MisBox::Ghaffari { k } => {
                     // Reset the probability on layer change: each layer is
@@ -289,8 +288,7 @@ impl Protocol for Alg2Node {
                         pexp: self.j,
                         marked: self.marked,
                     };
-                    let gone = self.gone.clone();
-                    ctx.broadcast_filtered(msg, |p| !gone[p]);
+                    ctx.broadcast_filtered(msg, |p| !self.gone[p]);
                 }
             }
             Status::Active
@@ -344,8 +342,7 @@ impl Protocol for Alg2Node {
             };
             if won {
                 let amount = self.w as u64;
-                let gone = self.gone.clone();
-                ctx.broadcast_filtered(Alg2Msg::Reduce(amount), |p| !gone[p]);
+                ctx.broadcast_filtered(Alg2Msg::Reduce(amount), |p| !self.gone[p]);
                 self.w = 0;
                 self.state = NodeState::Candidate;
                 if self.all_gone() {

@@ -153,8 +153,7 @@ impl Protocol for Alg3Node {
         }
         if self.is_local_max() {
             let amount = self.w as u64;
-            let gone = self.gone.clone();
-            ctx.broadcast_filtered(Alg3Msg::Reduce(amount), |p| !gone[p]);
+            ctx.broadcast_filtered(Alg3Msg::Reduce(amount), |p| !self.gone[p]);
             self.w = 0;
             self.candidate = true;
         }

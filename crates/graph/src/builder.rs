@@ -139,7 +139,7 @@ impl GraphBuilder {
     }
 
     /// Finalizes the graph, building the flat CSR adjacency (rows sorted by
-    /// neighbor id) plus the derived reverse-port and per-port edge-weight
+    /// neighbor id) plus the derived mirror-slot and per-port edge-weight
     /// tables, in `O(n + m log Δ)` total (`O(n + m)` except the row sort).
     pub fn build(self) -> Graph {
         let n = self.node_weights.len();
@@ -173,7 +173,7 @@ impl GraphBuilder {
         let neighbor_ids: Vec<NodeId> = pairs.iter().map(|&(x, _)| x).collect();
         let neighbor_edges: Vec<EdgeId> = pairs.iter().map(|&(_, e)| e).collect();
 
-        // Reverse ports in O(n + m): one pass over the CSR slots records
+        // Mirror slots in O(n + m): one pass over the CSR slots records
         // where each edge landed (first in its smaller endpoint's row —
         // rows are laid out in ascending node id and endpoints are stored
         // `u < v`), then one pass over edges links the two slots.
@@ -188,10 +188,10 @@ impl GraphBuilder {
             };
             *slot = i as u32;
         }
-        let mut reverse_ports = vec![0u32; 2 * m];
-        for (i, &(u, v)) in self.edges.iter().enumerate() {
-            reverse_ports[slot_at_u[i] as usize] = slot_at_v[i] - row_offsets[v.index()];
-            reverse_ports[slot_at_v[i] as usize] = slot_at_u[i] - row_offsets[u.index()];
+        let mut mirror = vec![0u32; 2 * m];
+        for (&a, &b) in slot_at_u.iter().zip(&slot_at_v) {
+            mirror[a as usize] = b;
+            mirror[b as usize] = a;
         }
 
         let port_edge_weights: Vec<u64> = neighbor_edges
@@ -203,7 +203,7 @@ impl GraphBuilder {
             row_offsets,
             neighbor_ids,
             neighbor_edges,
-            reverse_ports,
+            mirror,
             port_edge_weights,
             edges: self.edges,
             node_weights: self.node_weights,

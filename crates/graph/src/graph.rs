@@ -69,10 +69,12 @@ impl From<u32> for EdgeId {
 /// Two derived CSR-aligned tables are precomputed in `O(n + m)` at
 /// construction and kept in sync by the weight setters:
 ///
-/// * [`reverse_ports`](Self::reverse_ports) — for the slot of `v`'s row
-///   holding neighbor `u`, the position (*port*) of `v` inside `u`'s row.
-///   Message-passing simulators use this to deliver into port-indexed
-///   inboxes without scanning the receiver's adjacency.
+/// * [`mirror`](Self::mirror) — for each directed slot (`v`'s row holding
+///   neighbor `u`), the absolute slot of the reverse edge (`u`'s row
+///   holding `v`), so `mirror[mirror[i]] == i`. Message-passing
+///   simulators use it to deliver into port-indexed inboxes with one
+///   sequential read per message instead of a scan or a lookup at the
+///   receiver.
 /// * [`port_edge_weights`](Self::port_edge_weights) — the weight of the
 ///   incident edge at each slot, so per-node weight views need no
 ///   indirection through edge ids.
@@ -88,9 +90,9 @@ pub struct Graph {
     pub(crate) neighbor_ids: Vec<NodeId>,
     /// Flat connecting-edge ids, aligned with `neighbor_ids`.
     pub(crate) neighbor_edges: Vec<EdgeId>,
-    /// `reverse_ports[i]` for slot `i` in `v`'s row holding neighbor `u` =
-    /// the port of `v` inside `u`'s row.
-    pub(crate) reverse_ports: Vec<u32>,
+    /// `mirror[i]` for slot `i` in `v`'s row holding neighbor `u` = the
+    /// absolute slot of `v` inside `u`'s row.
+    pub(crate) mirror: Vec<u32>,
     /// `port_edge_weights[i]` = weight of the edge at CSR slot `i`.
     pub(crate) port_edge_weights: Vec<u64>,
     /// `edges[e]` = endpoints `(u, v)` with `u < v`.
@@ -168,13 +170,15 @@ impl Graph {
         &self.neighbor_edges[self.row(v)]
     }
 
-    /// For each port `p` of `v`, the port of `v` inside
-    /// `neighbor_ids(v)[p]`'s own row — i.e. the port through which the
-    /// neighbor sends *back* to `v`. Precomputed in `O(n + m)` at
-    /// construction.
+    /// The mirror-slot table (`2m` entries, indexed like the flat CSR
+    /// arrays): for the slot `i = row_offsets()[v] + p` of `v`'s row
+    /// holding neighbor `u`, `mirror()[i]` is the absolute slot of `v`
+    /// inside `u`'s row — the slot through which `u` sends *back* to `v`.
+    /// It is an involution (`mirror[mirror[i]] == i`) without fixed
+    /// points. Precomputed in `O(n + m)` at construction.
     #[inline]
-    pub fn reverse_ports(&self, v: NodeId) -> &[u32] {
-        &self.reverse_ports[self.row(v)]
+    pub fn mirror(&self) -> &[u32] {
+        &self.mirror
     }
 
     /// Weight of the incident edge at each port of `v` (aligned with
@@ -536,45 +540,102 @@ mod tests {
         }
     }
 
-    /// Regression for the reverse-port table now built in `O(n + m)`:
-    /// on `complete(512)` (the worst case for the old `O(Σ deg²)`
-    /// construction) every entry must agree with the `position()`-scan the
-    /// engine used to perform per edge endpoint.
-    #[test]
-    fn reverse_ports_match_position_scan_on_complete_512() {
-        let g = crate::generators::complete(512);
+    /// The mirror-table contract on one graph: an involution without fixed
+    /// points, and slot `mirror[i]` lies in the receiver's row and names
+    /// the sender.
+    fn assert_mirror_contract(g: &Graph) {
+        let mirror = g.mirror();
+        assert_eq!(mirror.len(), 2 * g.num_edges());
         for v in g.nodes() {
-            let rp = g.reverse_ports(v);
-            assert_eq!(rp.len(), g.degree(v));
+            let start = g.row_offsets()[v.index()] as usize;
+            for (p, &u) in g.neighbor_ids(v).iter().enumerate() {
+                let i = start + p;
+                let j = mirror[i] as usize;
+                assert_ne!(i, j, "slot {i} mirrors itself");
+                assert_eq!(mirror[j] as usize, i, "mirror is not an involution at {i}");
+                let row = g.row(u);
+                assert!(row.contains(&j), "slot {j} is outside {u}'s row");
+                assert_eq!(
+                    g.neighbor_ids(u)[j - row.start],
+                    v,
+                    "slot {j} must name {v}"
+                );
+                assert_eq!(g.neighbor_edges(u)[j - row.start], g.neighbor_edges(v)[p]);
+            }
+        }
+    }
+
+    /// `complete(512)` was the worst case of the old `O(Σ deg²)`
+    /// position-scan construction; the `O(n + m)` table must agree with
+    /// that scan at every slot.
+    #[test]
+    fn mirror_matches_position_scan_on_complete_512() {
+        let g = crate::generators::complete(512);
+        assert_mirror_contract(&g);
+        for v in g.nodes() {
+            let start = g.row_offsets()[v.index()] as usize;
             for (p, &u) in g.neighbor_ids(v).iter().enumerate() {
                 let back = g
                     .neighbor_ids(u)
                     .iter()
                     .position(|&w| w == v)
                     .expect("adjacency is symmetric");
-                assert_eq!(rp[p] as usize, back, "reverse port of {v} via port {p}");
+                let expected = g.row_offsets()[u.index()] as usize + back;
+                assert_eq!(g.mirror()[start + p] as usize, expected, "{v} port {p}");
             }
         }
     }
 
     #[test]
-    fn reverse_ports_are_involutive_on_random_graphs() {
+    fn mirror_is_an_involution_naming_the_sender_across_families() {
+        use crate::generators;
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(7);
         for g in [
-            crate::generators::gnp(200, 0.05, &mut rng),
-            crate::generators::random_tree(150, &mut rng),
-            crate::generators::barabasi_albert(120, 4, &mut rng),
+            GraphBuilder::new().build(),
+            GraphBuilder::with_nodes(5).build(),
+            generators::gnp(200, 0.05, &mut rng),
+            generators::watts_strogatz(150, 6, 0.2, &mut rng),
+            generators::power_law_cluster(150, 3, 0.3, &mut rng),
+            generators::random_tree(150, &mut rng),
+            generators::star(200),
+            generators::complete(65),
         ] {
-            for v in g.nodes() {
-                for (p, &u) in g.neighbor_ids(v).iter().enumerate() {
-                    let back = g.reverse_ports(v)[p] as usize;
-                    // The neighbor's port `back` leads to `v`, and its own
-                    // reverse port leads back to `p`.
-                    assert_eq!(g.neighbor_ids(u)[back], v);
-                    assert_eq!(g.reverse_ports(u)[back] as usize, p);
+            assert_mirror_contract(&g);
+        }
+    }
+
+    /// `DeltaGraph::compact` rebuilds through the builder, so its output
+    /// must carry a valid mirror table after every kind of mutation:
+    /// insertions, removals, node joins, and node departures.
+    #[test]
+    fn mirror_contract_holds_on_compacted_overlays() {
+        use crate::{generators, DeltaGraph};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut dg = DeltaGraph::new(generators::gnp(120, 0.06, &mut rng));
+        for step in 0..300u32 {
+            let n = dg.num_slots() as u32;
+            let u = NodeId(rng.random_range(0..n));
+            let v = NodeId(rng.random_range(0..n));
+            match step % 10 {
+                0 => {
+                    let w = dg.add_node(1);
+                    if dg.is_alive(u) {
+                        dg.insert_edge(u, w, 3);
+                    }
                 }
+                1 if dg.is_alive(u) && dg.num_live_nodes() > 60 => dg.remove_node(u),
+                2..=5 if u != v && dg.is_alive(u) && dg.is_alive(v) && !dg.has_edge(u, v) => {
+                    dg.insert_edge(u, v, 1 + u64::from(step));
+                }
+                6..=9 if dg.has_edge(u, v) => dg.remove_edge(u, v),
+                _ => {}
+            }
+            if step % 50 == 49 {
+                assert_mirror_contract(&dg.compact());
             }
         }
     }

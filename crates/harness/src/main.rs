@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p harness [-- PATH] [--samples small|full]
 //!                                [--degradation PATH] [--churn PATH]
-//!                                [--service PATH]
+//!                                [--service PATH] [--check]
 //! ```
 //!
 //! Runs the full scenario matrix (see `congest_harness`), panicking on
@@ -23,6 +23,11 @@
 //!
 //! `--samples small` sweeps one engine seed per cell (the CI smoke
 //! setting); `--samples full` (default) sweeps three.
+//!
+//! `--check` appends nothing: it regenerates every suite in memory and
+//! exits non-zero unless each ledger's newest grid — its last records,
+//! as many as the suite produces — equals the fresh records, so a change
+//! that moves any checked-in record without re-running the grid fails.
 
 use congest_bench::Table;
 use congest_harness::{
@@ -36,6 +41,7 @@ fn main() {
     let mut churn_path = "CHURN_engine.json".to_string();
     let mut service_path = "SERVICE_engine.json".to_string();
     let mut samples = SampleSize::Full;
+    let mut check = false;
     // CLI flag parsing is this binary's job; the workspace-wide ban
     // (clippy.toml) targets protocol code, not the harness entry point.
     #[allow(clippy::disallowed_methods)]
@@ -58,10 +64,12 @@ fn main() {
             service_path = args.next().expect("--service needs a path");
         } else if let Some(v) = arg.strip_prefix("--service=") {
             service_path = v.to_string();
+        } else if arg == "--check" {
+            check = true;
         } else if arg.starts_with('-') {
             // Don't let a flag typo silently become the output path.
             panic!(
-                "unknown flag {arg}; usage: harness [PATH] [--samples small|full] [--degradation PATH] [--churn PATH] [--service PATH]"
+                "unknown flag {arg}; usage: harness [PATH] [--samples small|full] [--degradation PATH] [--churn PATH] [--service PATH] [--check]"
             );
         } else {
             out_path = arg;
@@ -204,32 +212,70 @@ fn main() {
     }
     service_table.print();
 
-    let records: Vec<String> = conformance
+    let quality: Vec<String> = conformance
         .iter()
         .map(|r| r.to_json())
         .chain(faults.iter().map(|r| r.to_json()))
         .collect();
-    congest_bench::ledger::append_to_file(&out_path, &records);
-    let degradation_records: Vec<String> = degradation.iter().map(|r| r.to_json()).collect();
-    congest_bench::ledger::append_to_file(&degradation_path, &degradation_records);
-    println!(
-        "wrote {out_path}: {} conformance + {} fault records, all bounds held",
-        conformance.len(),
-        faults.len()
-    );
-    println!(
-        "wrote {degradation_path}: {} degradation records",
-        degradation.len()
-    );
-    let churn_records: Vec<String> = churn.iter().map(|r| r.to_json()).collect();
-    congest_bench::ledger::append_to_file(&churn_path, &churn_records);
-    println!("wrote {churn_path}: {} churn records", churn.len());
-    let service_records: Vec<String> = service.iter().map(|r| r.to_json()).collect();
-    congest_bench::ledger::append_to_file(&service_path, &service_records);
-    println!(
-        "wrote {service_path}: {} service oracle records",
-        service.len()
-    );
+    let ledgers = [
+        (out_path, quality, "conformance + fault"),
+        (
+            degradation_path,
+            degradation.iter().map(|r| r.to_json()).collect(),
+            "degradation",
+        ),
+        (
+            churn_path,
+            churn.iter().map(|r| r.to_json()).collect(),
+            "churn",
+        ),
+        (
+            service_path,
+            service.iter().map(|r| r.to_json()).collect(),
+            "service oracle",
+        ),
+    ];
+    if check {
+        let stale = ledgers
+            .iter()
+            .filter(|(path, fresh, _)| !newest_grid_matches(path, fresh))
+            .count();
+        if stale > 0 {
+            eprintln!("{stale} ledger(s) are stale: re-run the harness and append a fresh grid");
+            std::process::exit(1);
+        }
+        return;
+    }
+    for (path, records, what) in &ledgers {
+        congest_bench::ledger::append_to_file(path, records);
+        println!("wrote {path}: {} {what} records", records.len());
+    }
+}
+
+/// Whether the last `fresh.len()` records of the ledger at `path` equal
+/// `fresh`, printing the verdict.
+fn newest_grid_matches(path: &str, fresh: &[String]) -> bool {
+    let contents = std::fs::read_to_string(path).unwrap_or_default();
+    let ledger = congest_bench::ledger::records(&contents);
+    let newest = &ledger[ledger.len().saturating_sub(fresh.len())..];
+    let differ = if newest.len() < fresh.len() {
+        fresh.len()
+    } else {
+        fresh
+            .iter()
+            .zip(newest)
+            .filter(|(f, l)| f.trim() != **l)
+            .count()
+    };
+    if differ == 0 {
+        println!("{path}: the newest {} records match", fresh.len());
+    } else {
+        println!(
+            "{path}: {differ} of the newest {} records differ from a fresh run",
+            fresh.len()
+        );
+    }
+    differ == 0
 }
 
 fn parse_samples(v: &str) -> SampleSize {

@@ -151,9 +151,10 @@ const ENGINE_LOOP_FNS: &[&str] = &[
     "step_all",
     "deliver_all",
     "deliver_slot",
-    "deliver_slot_with",
-    "deliver_slot_traced",
-    "place_message",
+    "push",
+    "flush",
+    "reorder_inboxes",
+    "wipe_inbox",
     "delivery_phase",
 ];
 

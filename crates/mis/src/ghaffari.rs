@@ -199,8 +199,7 @@ impl Protocol for NearlyMaximalIs {
                     return Status::Halt(MisResult::Undecided);
                 }
                 let j = self.j;
-                let active = self.active.clone();
-                ctx.broadcast_filtered(NmisMsg::PExp(j), |p| active[p]);
+                ctx.broadcast_filtered(NmisMsg::PExp(j), |p| self.active[p]);
                 Status::Active
             }
             1 => {
@@ -219,8 +218,7 @@ impl Protocol for NearlyMaximalIs {
                 let p = self.p();
                 self.marked = ctx.rng().random_bool(p);
                 if self.marked {
-                    let active = self.active.clone();
-                    ctx.broadcast_filtered(NmisMsg::Marked, |p| active[p]);
+                    ctx.broadcast_filtered(NmisMsg::Marked, |p| self.active[p]);
                 }
                 Status::Active
             }
@@ -228,8 +226,7 @@ impl Protocol for NearlyMaximalIs {
                 // Join iff marked with no marked neighbor.
                 let neighbor_marked = inbox.iter().any(|(_, m)| m == NmisMsg::Marked);
                 if self.marked && !neighbor_marked {
-                    let active = self.active.clone();
-                    ctx.broadcast_filtered(NmisMsg::Joined, |p| active[p]);
+                    ctx.broadcast_filtered(NmisMsg::Joined, |p| self.active[p]);
                     return Status::Halt(MisResult::InSet);
                 }
                 Status::Active
@@ -237,8 +234,7 @@ impl Protocol for NearlyMaximalIs {
             _ => {
                 // Leave if dominated; otherwise adjust the probability.
                 if inbox.iter().any(|(_, m)| m == NmisMsg::Joined) {
-                    let active = self.active.clone();
-                    ctx.broadcast_filtered(NmisMsg::Covered, |p| active[p]);
+                    ctx.broadcast_filtered(NmisMsg::Covered, |p| self.active[p]);
                     return Status::Halt(MisResult::Dominated);
                 }
                 if self.effective_degree >= 2.0 {

@@ -127,8 +127,7 @@ impl Protocol for LubyMis {
                 let domain = Self::priority_domain(ctx.info().n);
                 self.my_priority = ctx.rng().random_range(0..domain);
                 let prio = self.my_priority;
-                let active = self.active.clone();
-                ctx.broadcast_filtered(LubyMsg::Priority(prio), |p| active[p]);
+                ctx.broadcast_filtered(LubyMsg::Priority(prio), |p| self.active[p]);
                 Status::Active
             }
             1 => {
@@ -146,8 +145,7 @@ impl Protocol for LubyMis {
                     }
                 }
                 if won {
-                    let active = self.active.clone();
-                    ctx.broadcast_filtered(LubyMsg::Joined, |p| active[p]);
+                    ctx.broadcast_filtered(LubyMsg::Joined, |p| self.active[p]);
                     Status::Halt(MisResult::InSet)
                 } else {
                     Status::Active
@@ -156,8 +154,7 @@ impl Protocol for LubyMis {
             _ => {
                 // Cover: leave if any neighbor joined.
                 if inbox.iter().any(|(_, m)| m == LubyMsg::Joined) {
-                    let active = self.active.clone();
-                    ctx.broadcast_filtered(LubyMsg::Covered, |p| active[p]);
+                    ctx.broadcast_filtered(LubyMsg::Covered, |p| self.active[p]);
                     Status::Halt(MisResult::Dominated)
                 } else {
                     Status::Active

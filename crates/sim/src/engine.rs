@@ -281,19 +281,21 @@ pub struct ShardedRun<O> {
 struct NodeSlot<'g, P: Protocol> {
     proto: P,
     info: NodeInfo<'g>,
-    /// `reverse_port[p]` = the port at `neighbor(p)` that leads back to
-    /// this node; used to deliver into the receiver's port-indexed inbox
-    /// row. Borrowed straight from the graph's precomputed CSR table.
-    reverse_port: &'g [u32],
+    /// `mirror[p]` = the absolute slot of the reverse edge of port `p`,
+    /// which is both the receiver's payload cell and its occupancy bit in
+    /// a receive plane. This node's row of the graph's mirror table.
+    mirror: &'g [u32],
     /// `neighbor_edges[p]` = the undirected edge id behind port `p`;
     /// consulted by delivery when the churn adversary's edge-down bitmap
     /// is live. Borrowed from the graph's CSR table.
     neighbor_edges: &'g [EdgeId],
     /// Start of this node's row in the CSR-shaped message planes
     /// (`graph.row_offsets()[id]`); the row length is the node's degree.
+    /// In a receive plane it is also the row's first occupancy bit.
     row_start: u32,
-    /// Start of this node's occupancy words in the planes' bitmaps
-    /// (`occ_offsets[id]`); the row spans `⌈degree / 64⌉` words.
+    /// Start of this node's occupancy words in the send plane's bitmap,
+    /// after those of every smaller id; the row spans `⌈degree / 64⌉`
+    /// words.
     occ_start: u32,
     rng: SmallRng,
     /// Output produced this round, if the node chose to halt; applied to
@@ -310,21 +312,31 @@ struct NodeSlot<'g, P: Protocol> {
 /// Raw shared handle to one message plane: a flat array of packed payload
 /// *words* (`u64`, one per directed edge — length `2m`, shaped exactly
 /// like the graph's CSR block, so the word for `(node v, port p)` is
-/// `row_offsets[v] + p`) plus a word-aligned occupancy bitmap. The bitmap
-/// is laid out per node — node `v`'s occupancy words start at
-/// `occ_offsets[v]` and span `⌈degree(v) / 64⌉` words — so the compute
-/// phase can take plain `&mut [u64]` occupancy rows of distinct nodes
-/// without sharing any word across threads. Payload words of silent ports
-/// are stale garbage; the occupancy bit is the only truth.
+/// `row_offsets[v] + p`) plus an occupancy bitmap. Payload words of silent
+/// ports are stale garbage; the occupancy bit is the only truth.
+///
+/// The two kinds of plane lay their bitmaps out differently:
+///
+/// * The **send** plane's bitmap is word-aligned per node — node `v`'s
+///   occupancy words follow those of every smaller id and span
+///   `⌈degree(v) / 64⌉` words — so the compute phase can take plain
+///   `&mut [u64]` occupancy rows of distinct nodes without sharing any
+///   word across threads.
+/// * A **receive** plane has one bit per directed slot: bit `j` says
+///   whether word `j` holds a message. Delivery addresses both through
+///   the sender slot's mirror (`mirror[i]`), with no lookup at the
+///   receiver, and the bitmap costs 1 bit per directed edge. Rows of
+///   neighbouring nodes share words, so the compute phase only reads the
+///   bitmap, and the round loop clears it between the phases.
 ///
 /// The handle deliberately erases Rust's aliasing information so disjoint
 /// CSR rows (compute phase) and disjoint directed-edge cells (delivery
 /// phase) can be written from multiple threads. Every `unsafe` access site
 /// states which disjointness argument makes it sound. The one genuinely
-/// shared location — a receiver's occupancy word, targeted by up to 64
-/// concurrent senders during delivery — is accessed exclusively through
-/// the atomic [`occ_fetch_or`](Self::occ_fetch_or), never through a
-/// reference, during that phase.
+/// shared location — a receive-plane occupancy word, covering up to 64
+/// slots fed by different senders — is written during delivery only
+/// through [`set_bit`](Self::set_bit), atomically whenever more than one
+/// worker delivers the phase, and never through a reference.
 struct PlanePtr {
     words: *mut u64,
     occ: *mut u64,
@@ -341,21 +353,36 @@ impl Copy for PlanePtr {}
 
 // SAFETY: a `PlanePtr` is only a capability to *derive* references (or
 // atomic views); all derivations happen under the row/cell disjointness
-// contracts documented on `words_row` / `occ_row` / `write_word` /
-// `occ_fetch_or`, and the payload is plain `u64`s. No reference is ever
-// shared across threads through it.
+// contracts documented on `words_row` / `occ_row` / `occ_view` /
+// `write_word` / `set_bit`, and the payload is plain `u64`s. No reference
+// is ever shared across threads through it.
 unsafe impl Send for PlanePtr {}
 // SAFETY: as for `Send` above — sharing the handle only shares the
 // *capability*; actual access is serialized per row/cell by the engine's
 // disjointness contracts (or made atomic, for delivery's occupancy bits).
 unsafe impl Sync for PlanePtr {}
 
+/// How delivery sets receive-plane occupancy bits. The executor picks it,
+/// because only the executor knows whether other workers deliver into the
+/// same planes in the same phase.
+#[derive(Clone, Copy)]
+enum BitSet {
+    /// One worker delivers the whole phase: a plain load, OR, and store.
+    Plain,
+    /// Several workers share the phase: an atomic `fetch_or`, since
+    /// neighbouring slots of one occupancy word have different senders.
+    Atomic,
+}
+
 impl PlanePtr {
-    fn new(words: &mut Vec<u64>, occ: &mut Vec<u64>) -> Self {
+    /// A plane over `buf`: payload words `..words_len`, then the
+    /// occupancy bitmap.
+    fn new(buf: &mut [u64], words_len: usize) -> Self {
+        let (words, occ) = buf.split_at_mut(words_len);
         PlanePtr {
             words: words.as_mut_ptr(),
             occ: occ.as_mut_ptr(),
-            words_len: words.len(),
+            words_len,
             occ_len: occ.len(),
         }
     }
@@ -376,15 +403,16 @@ impl PlanePtr {
         std::slice::from_raw_parts_mut(self.words.add(start), len)
     }
 
-    /// Mutable view of one node's occupancy words,
-    /// `start..start + len` with `len = ⌈degree / 64⌉`.
+    /// Mutable view of occupancy words `start..start + len`: one node's
+    /// word-aligned row of the send plane, or a whole receive bitmap.
     ///
     /// # Safety
-    /// As for [`words_row`](Self::words_row) — occupancy rows are
+    /// As for [`words_row`](Self::words_row). Send-plane rows are
     /// word-aligned per node, so rows of distinct nodes never share a
-    /// word. Must not be held while any thread may call
-    /// [`occ_fetch_or`](Self::occ_fetch_or) on this plane (the engine's
-    /// compute and delivery phases never overlap).
+    /// word; receive bitmaps are taken whole, in the round loop's
+    /// sequential section only. Must not be held while any thread may
+    /// call [`set_bit`](Self::set_bit) on this plane (the engine's compute
+    /// and delivery phases never overlap).
     #[allow(clippy::mut_from_ref)]
     #[inline]
     unsafe fn occ_row(&self, start: usize, len: usize) -> &mut [u64] {
@@ -392,38 +420,109 @@ impl PlanePtr {
         std::slice::from_raw_parts_mut(self.occ.add(start), len)
     }
 
+    /// The whole occupancy bitmap, mutably.
+    ///
+    /// # Safety
+    /// As for [`occ_row`](Self::occ_row): no other reference to any of
+    /// the plane's occupancy words may be live.
+    #[allow(clippy::mut_from_ref)]
+    #[inline]
+    unsafe fn occ_all(&self) -> &mut [u64] {
+        self.occ_row(0, self.occ_len)
+    }
+
+    /// Shared view of the receive-plane occupancy words covering bits
+    /// `first_bit..first_bit + len`: one node's receive row, whose first
+    /// and last words it may share with neighbouring rows.
+    ///
+    /// # Safety
+    /// No thread may write any of these words while the view is live. The
+    /// compute phase upholds this: it only reads receive bitmaps, which
+    /// are cleared and written only outside it.
+    #[inline]
+    unsafe fn occ_view(&self, first_bit: usize, len: usize) -> &[u64] {
+        let (first, end) = (first_bit / 64, (first_bit + len).div_ceil(64));
+        debug_assert!(end <= self.occ_len, "occupancy bits out of bounds");
+        std::slice::from_raw_parts(self.occ.add(first), end - first)
+    }
+
     /// Plain (non-atomic) write of one payload word.
     ///
     /// # Safety
     /// The caller must guarantee the cell is not accessed concurrently.
     /// The delivery phase upholds this by addressing cells by *directed
-    /// edge* (`row_offsets[to] + reverse_port`), and each directed edge
-    /// has exactly one sender.
+    /// edge* (the sender slot's mirror), and each directed edge has
+    /// exactly one sender.
     #[inline]
     unsafe fn write_word(&self, idx: usize, word: u64) {
         debug_assert!(idx < self.words_len, "plane cell out of bounds");
         *self.words.add(idx) = word;
     }
 
-    /// Atomically ORs `mask` into occupancy word `idx`, returning the
-    /// prior word (Relaxed: the bits carry no payload ordering — the
-    /// phase-ending thread join publishes everything).
-    ///
-    /// This is delivery's receiver-bit set: up to 64 senders (one per
-    /// port covered by the word) may land concurrently on one receiver's
-    /// occupancy word, so the RMW must be atomic even though every
-    /// *payload* cell has a unique writer. The returned prior word doubles
-    /// as the collision detector — a set bit means a message of an earlier
-    /// phase already occupied the cell (async ring only).
+    /// Sets receive-plane occupancy bit `bit`, returning whether it was
+    /// already set — the collision detector: a set bit means a message of
+    /// an earlier phase already occupied the cell (async ring only).
+    /// [`BitSet::Atomic`] is a Relaxed `fetch_or`: the bits carry no
+    /// payload ordering, and the phase-ending thread join publishes
+    /// everything.
     ///
     /// # Safety
-    /// `idx < occ_len`, and no thread may hold a `&mut` over the word
-    /// (the engine confines `occ_row` references to the compute phase).
+    /// `bit < 64 * occ_len`, and no thread may hold a reference to the
+    /// bitmap (the engine confines those to the compute phase and the
+    /// sequential section). [`BitSet::Plain`] additionally requires that no
+    /// other thread touches this plane's bitmap during the phase.
     #[inline]
-    unsafe fn occ_fetch_or(&self, idx: usize, mask: u64) -> u64 {
-        debug_assert!(idx < self.occ_len, "occupancy word out of bounds");
-        AtomicU64::from_ptr(self.occ.add(idx)).fetch_or(mask, Ordering::Relaxed)
+    unsafe fn set_bit(&self, bit: usize, mode: BitSet) -> bool {
+        debug_assert!(bit / 64 < self.occ_len, "occupancy bit out of bounds");
+        let word = self.occ.add(bit / 64);
+        let mask = 1u64 << (bit % 64);
+        let prior = match mode {
+            BitSet::Plain => {
+                let prior = *word;
+                *word = prior | mask;
+                prior
+            }
+            BitSet::Atomic => AtomicU64::from_ptr(word).fetch_or(mask, Ordering::Relaxed),
+        };
+        prior & mask != 0
     }
+
+    /// Hints the cache to fetch the payload word and occupancy word of
+    /// cell `idx` ahead of [`write_word`](Self::write_word) and
+    /// [`set_bit`](Self::set_bit). A no-op off x86-64.
+    #[inline]
+    fn prefetch(&self, idx: usize) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: a prefetch is only a hint — it never faults and
+            // never changes memory, whatever the address — and the
+            // addresses are computed with `wrapping_add`, so no
+            // out-of-bounds pointer arithmetic happens either.
+            unsafe {
+                _mm_prefetch::<_MM_HINT_T0>(self.words.wrapping_add(idx).cast());
+                _mm_prefetch::<_MM_HINT_T0>(self.occ.wrapping_add(idx / 64).cast());
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = idx;
+    }
+}
+
+/// Clears bits `start..start + len` of `bitmap`, returning how many were
+/// set: the crash and leave wipes of one node's receive row.
+fn take_bits(bitmap: &mut [u64], start: usize, len: usize) -> u64 {
+    let (mut bit, end) = (start, start + len);
+    let mut taken = 0;
+    while bit < end {
+        let (w, lo) = (bit / 64, bit % 64);
+        let hi = (end - 64 * w).min(64);
+        let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
+        taken += u64::from((bitmap[w] & mask).count_ones());
+        bitmap[w] &= !mask;
+        bit = 64 * (w + 1);
+    }
+    taken
 }
 
 /// The send plane and the *ring* of receive planes of a run, handed to
@@ -435,15 +534,12 @@ impl PlanePtr {
 /// copies trail originals by a round) widens the ring to `d + 1 (+ 1)`
 /// planes indexed by *arrival round* modulo the ring length: delivery in
 /// round `r` writes arrivals `r + 1 ..= r + 1 + d (+ 1)`, and the compute
-/// phase of round `t` reads (and clears) plane `t % len`, so a plane is
-/// always drained before the ring cycles back onto it.
+/// phase of round `t` reads plane `t % len`, which the round loop clears
+/// before that round's delivery, so a plane is always drained before the
+/// ring cycles back onto it.
 struct Planes {
     send: PlanePtr,
     recv: Vec<PlanePtr>,
-    /// Inbox-reordering adversary, pre-filtered to `None` when it cannot
-    /// fire; consulted by the compute phase, which permutes its own
-    /// (exclusively held) inbox row before reading it.
-    reorder: Option<Adversary>,
 }
 
 impl Planes {
@@ -456,11 +552,9 @@ impl Planes {
 
 /// Read-only context the delivery phase needs besides the slots.
 struct DeliverArgs<'a> {
-    /// `graph.row_offsets()` — maps a receiver id to its payload row.
-    row_offsets: &'a [u32],
-    /// Prefix sums of `⌈degree / 64⌉` — maps a receiver id to its
-    /// occupancy row (see [`PlanePtr`]).
-    occ_offsets: &'a [u32],
+    /// The receive plane of arrival round `round + 1`, picked once per
+    /// round: every undelayed original lands there.
+    next: &'a PlanePtr,
     /// Liveness per node id, with this round's halts already applied.
     alive: &'a [bool],
     /// [`SimConfig::bit_budget`].
@@ -481,6 +575,75 @@ struct DeliverArgs<'a> {
     /// discarded). `None` whenever [`Adversary::edge_flip_prob`] is zero,
     /// so the static path never tests it per message.
     edge_down: Option<&'a [u64]>,
+}
+
+/// Most messages one [`Batch`] holds before it writes them out.
+const BATCH: usize = 16;
+
+/// Messages the delivery kernel has decided on but not yet written, as
+/// (receive plane, cell, payload word). Each target is prefetched when
+/// queued and the batch is written after the sender's row (or when
+/// full), so the cache misses of one sender's messages overlap instead of
+/// stalling one after another. Writing also counts collisions. Its `mode`
+/// comes from the caller of `deliver_all`, under that function's safety
+/// contract.
+struct Batch<'p> {
+    mode: BitSet,
+    len: usize,
+    entries: [(&'p PlanePtr, u32, u64); BATCH],
+}
+
+impl<'p> Batch<'p> {
+    fn new(plane: &'p PlanePtr, mode: BitSet) -> Self {
+        Batch {
+            mode,
+            len: 0,
+            entries: [(plane, 0, 0); BATCH],
+        }
+    }
+
+    /// Queues `word` for cell `cell` of `plane`, writing the batch out
+    /// once it is full.
+    #[inline]
+    fn push(&mut self, plane: &'p PlanePtr, cell: u32, word: u64, tally: &mut Tally) {
+        plane.prefetch(cell as usize);
+        self.entries[self.len] = (plane, cell, word);
+        self.len += 1;
+        if self.len == BATCH {
+            self.flush(tally);
+        }
+    }
+
+    /// Writes every queued message into its receive-plane cell and sets
+    /// its occupancy bit, counting a collision — two in-flight messages of
+    /// one directed edge converging on the same arrival round, where the
+    /// later-sent one wins — as a lost message. Collisions cannot occur in
+    /// synchronous (zero-delay) mode: every edge delivers at most one
+    /// message per phase and the plane is cleared every round.
+    #[inline]
+    fn flush(&mut self, tally: &mut Tally) {
+        for &(plane, cell, word) in &self.entries[..self.len] {
+            let cell = cell as usize;
+            // SAFETY: `cell` is the mirror of the sender's slot, i.e. the
+            // receive cell of one directed edge (sender → receiver); the
+            // mirror table is a bijection on directed edges, so within
+            // this delivery phase no other sender (on any thread) writes
+            // any plane's copy of this cell — and the original and
+            // duplicate of this edge target planes of *different* arrival
+            // rounds. Nothing reads the receive planes during delivery.
+            unsafe { plane.write_word(cell, word) };
+            // SAFETY: `cell < 2m ≤ 64 * occ_len`; no reference to a
+            // receive bitmap exists during delivery, and `self.mode` is
+            // `Plain` only when this worker delivers the whole phase
+            // (`deliver_all`'s contract), `Atomic` whenever workers share
+            // it (the word covers up to 64 slots, each fed by a different
+            // sender).
+            if unsafe { plane.set_bit(cell, self.mode) } {
+                tally.dropped_messages += 1;
+            }
+        }
+        self.len = 0;
+    }
 }
 
 /// Per-chunk statistics accumulator for the delivery phase; merged into
@@ -527,8 +690,9 @@ const PAR_MIN_SLOTS_PER_WORKER: usize = 1024;
 ///    cannot affect results.
 /// 2. **Deliver** — halts are applied, then every send-plane row is
 ///    scattered into the receive plane: the message node `v` sent through
-///    port `p` lands in cell `row_offsets[u] + reverse_port`, i.e. the
-///    receiver `u`'s own port-indexed inbox row. A message is dropped
+///    the slot `i = row_offsets[v] + p` lands in cell `mirror[i]` (see
+///    [`Graph::mirror`]), i.e. in the receiver `u`'s own port-indexed
+///    inbox row, at the port that leads back to `v`. A message is dropped
 ///    (counted in [`RunStats::dropped_messages`]) iff its receiver halted
 ///    in the sending round or earlier. Distinct directed edges map to
 ///    distinct cells, so delivery parallelizes without locks while staying
@@ -559,7 +723,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
     /// `factory` (called in ascending node-id order).
     ///
     /// Zero-copy: each [`NodeInfo`] borrows its per-port slices straight
-    /// out of the graph's CSR block, and the reverse-port table was already
+    /// out of the graph's CSR block, and the mirror-slot table was already
     /// computed by the graph in `O(n + m)`, so building the engine
     /// allocates `O(n)` — independent of the number of edges — and
     /// parallel rounds share one read-only adjacency image.
@@ -685,7 +849,10 @@ impl<'g, P: Protocol> Engine<'g, P> {
             seed,
             true,
             |slots, round, planes| Self::step_all(slots, round, planes),
-            |slots, planes, args| Self::deliver_all(slots, planes, args),
+            |slots, planes, args| {
+                // SAFETY: `run` delivers every phase on this one thread.
+                unsafe { Self::deliver_all(slots, planes, args, BitSet::Plain, |_, _, _| {}) }
+            },
         )
     }
 
@@ -698,12 +865,27 @@ impl<'g, P: Protocol> Engine<'g, P> {
         }
     }
 
-    /// Sequential delivery over `slots`; shared like
-    /// [`step_all`](Self::step_all).
-    fn deliver_all(slots: &[NodeSlot<'g, P>], planes: &Planes, args: &DeliverArgs<'_>) -> Tally {
+    /// Delivery over `slots` by one worker, the sole entry to the
+    /// delivery kernel for every executor. `on_message(from, to, bits)`
+    /// runs once per message before its drop decision — the trace and
+    /// cross-shard hook; the other paths pass a no-op closure that
+    /// monomorphizes away.
+    ///
+    /// # Safety
+    /// With `mode` = [`BitSet::Plain`], no other thread may deliver into
+    /// `planes` while this call runs: the caller delivers the whole phase.
+    /// [`BitSet::Atomic`] is sound under any concurrency.
+    unsafe fn deliver_all<'p>(
+        slots: &[NodeSlot<'g, P>],
+        planes: &'p Planes,
+        args: &DeliverArgs<'p>,
+        mode: BitSet,
+        mut on_message: impl FnMut(NodeId, NodeId, usize),
+    ) -> Tally {
         let mut tally = Tally::default();
+        let mut batch = Batch::new(args.next, mode);
         for slot in slots.iter() {
-            Self::deliver_slot(slot, planes, args, &mut tally);
+            Self::deliver_slot(slot, planes, args, &mut batch, &mut tally, &mut on_message);
         }
         tally
     }
@@ -765,7 +947,11 @@ impl<'g, P: Protocol> Engine<'g, P> {
             },
             move |slots, planes, args| {
                 if slots.len() < inline_below {
-                    return Self::deliver_all(slots, planes, args);
+                    // SAFETY: below the cutoff no worker is spawned; this
+                    // thread delivers the whole phase.
+                    return unsafe {
+                        Self::deliver_all(slots, planes, args, BitSet::Plain, |_, _, _| {})
+                    };
                 }
                 let total_messages = AtomicU64::new(0);
                 let max_message_bits = AtomicUsize::new(0);
@@ -779,7 +965,11 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 slots
                     .par_chunks_mut(chunk)
                     .for_each_with_workers(threads, |chunk| {
-                        let tally = Self::deliver_all(chunk, planes, args);
+                        // SAFETY: atomic bit sets, as several workers
+                        // deliver this phase.
+                        let tally = unsafe {
+                            Self::deliver_all(chunk, planes, args, BitSet::Atomic, |_, _, _| {})
+                        };
                         // One commutative flush per chunk; sums and max cannot
                         // observe merge order, so stats stay bit-identical to
                         // the sequential path.
@@ -886,21 +1076,25 @@ impl<'g, P: Protocol> Engine<'g, P> {
                         offset = end;
                         rest = tail;
                         handles.push(scope.spawn(move || {
-                            let mut tally = Tally::default();
                             let mut cross = 0u64;
-                            for slot in chunk.iter() {
-                                Self::deliver_slot_with(slot, planes, args, &mut tally, {
-                                    let cross = &mut cross;
-                                    move |_from, to, _bits| {
-                                        // The whole chunk belongs to shard
-                                        // `s`, so only the receiver's side
-                                        // needs a lookup.
+                            // SAFETY: atomic bit sets, as every shard's
+                            // worker delivers this phase.
+                            let tally = unsafe {
+                                Self::deliver_all(
+                                    chunk,
+                                    planes,
+                                    args,
+                                    BitSet::Atomic,
+                                    |_, to, _| {
+                                        // The whole chunk belongs to shard `s`,
+                                        // so only the receiver's side needs a
+                                        // lookup.
                                         if partition.shard_of(to) != s {
-                                            *cross += 1;
+                                            cross += 1;
                                         }
-                                    }
-                                });
-                            }
+                                    },
+                                )
+                            };
                             (tally, cross)
                         }));
                     }
@@ -954,33 +1148,32 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let config = self.config;
         let mut factory = self.factory;
         let row_offsets = graph.row_offsets();
-        // Per-node occupancy rows, word-aligned: node `v`'s bits live in
-        // words `occ_offsets[v] .. occ_offsets[v + 1]` (one word per 64
-        // ports, rounded up), so no two nodes ever share an occupancy word
-        // and the compute phase can hold plain `&mut` rows.
-        let mut occ_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut occ_acc: u32 = 0;
-        occ_offsets.push(0);
-        for v in 0..n {
-            let degree = (row_offsets[v + 1] - row_offsets[v]) as usize;
-            occ_acc += degree.div_ceil(64) as u32;
-            occ_offsets.push(occ_acc);
-        }
+        // Send-plane occupancy rows, word-aligned: node `v`'s bits live in
+        // `⌈degree / 64⌉` words of its own, laid out in id order (slots are
+        // built in id order), so no two nodes ever share a send occupancy
+        // word and the compute phase can hold plain `&mut` rows.
+        let mut send_occ_len: u32 = 0;
         let mut slots: Vec<NodeSlot<'g, P>> = self
             .nodes
             .into_iter()
             .zip(self.infos)
-            .map(|(proto, info)| NodeSlot {
-                rng: node_rng(seed, info.id),
-                proto,
-                reverse_port: graph.reverse_ports(info.id),
-                neighbor_edges: graph.neighbor_edges(info.id),
-                row_start: row_offsets[info.id.index()],
-                occ_start: occ_offsets[info.id.index()],
-                info,
-                pending_halt: None,
-                active: true,
-                needs_init: false,
+            .map(|(proto, info)| {
+                let v = info.id.index();
+                let row = row_offsets[v] as usize..row_offsets[v + 1] as usize;
+                let occ_start = send_occ_len;
+                send_occ_len += row.len().div_ceil(64) as u32;
+                NodeSlot {
+                    rng: node_rng(seed, info.id),
+                    proto,
+                    mirror: &graph.mirror()[row.clone()],
+                    neighbor_edges: graph.neighbor_edges(info.id),
+                    row_start: row.start as u32,
+                    occ_start,
+                    info,
+                    pending_halt: None,
+                    active: true,
+                    needs_init: false,
+                }
             })
             .collect();
         // Fault machinery, pre-filtered so the fault-free loop tests one
@@ -1019,23 +1212,26 @@ impl<'g, P: Protocol> Engine<'g, P> {
         // trail their originals by a round).
         let ring_len = scheduler.map_or(0, |s| s.max_delay()) + 1 + usize::from(dup_on);
         let plane_len = row_offsets[n] as usize;
-        let occ_len = occ_acc as usize;
-        // Dense word storage: 8 payload bytes per directed edge plus one
-        // amortized occupancy byte (see [`plane_bytes_for`]), zeroed in one
-        // memset each — no per-cell `Option` initialization.
-        let mut send_words = vec![0u64; plane_len];
-        let mut send_occ = vec![0u64; occ_len];
-        let mut recv_words: Vec<Vec<u64>> = (0..ring_len).map(|_| vec![0u64; plane_len]).collect();
-        let mut recv_occ: Vec<Vec<u64>> = (0..ring_len).map(|_| vec![0u64; occ_len]).collect();
+        // Dense word storage: one allocation per plane, 8 payload bytes
+        // per directed edge followed by the occupancy bitmap (see
+        // [`plane_bytes_for`]), zeroed in one memset — no per-cell
+        // `Option` initialization. A receive bitmap has one bit per
+        // directed slot. Separate bitmap vectors are mid-sized heap
+        // allocations whose placement depends on the graph's size; with
+        // glibc malloc at n = 1M they raised peak RSS by up to 35 MB on
+        // some seeds.
+        let mut send = vec![0u64; plane_len + send_occ_len as usize];
+        let mut recv: Vec<Vec<u64>> = (0..ring_len)
+            .map(|_| vec![0u64; plane_len + plane_len.div_ceil(64)])
+            .collect();
         let planes = Planes {
-            send: PlanePtr::new(&mut send_words, &mut send_occ),
-            recv: recv_words
+            send: PlanePtr::new(&mut send, plane_len),
+            recv: recv
                 .iter_mut()
-                .zip(recv_occ.iter_mut())
-                .map(|(w, o)| PlanePtr::new(w, o))
+                .map(|p| PlanePtr::new(p, plane_len))
                 .collect(),
-            reorder: adversary.filter(|a| a.reorder_prob > 0.0),
         };
+        let reorder = adversary.filter(|a| a.reorder_prob > 0.0);
         let mut outputs: Vec<Option<P::Output>> = vec![None; n];
         let mut alive = vec![true; n];
         let mut active_count = n;
@@ -1061,8 +1257,6 @@ impl<'g, P: Protocol> Engine<'g, P> {
             active_len,
             compact,
             &planes,
-            row_offsets,
-            &occ_offsets,
             &mut alive,
             flips_on.then_some(&edge_down).map(Vec::as_slice),
             &mut outputs,
@@ -1123,19 +1317,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                             // whole ring: a restarted node boots with an
                             // empty inbox, and pre-crash stragglers count
                             // as lost to the crash.
-                            let occ_start = slot.occ_start as usize;
-                            let occ_words = slot.info.degree().div_ceil(64);
-                            for plane in &planes.recv {
-                                // SAFETY: this is the sequential section of
-                                // the round loop — no worker holds any
-                                // plane reference — and each node's rows
-                                // are disjoint from every other node's.
-                                let occ = unsafe { plane.occ_row(occ_start, occ_words) };
-                                for word in occ.iter_mut() {
-                                    stats.dropped_messages += u64::from(word.count_ones());
-                                    *word = 0;
-                                }
-                            }
+                            stats.dropped_messages += Self::wipe_inbox(slot, &planes);
                         }
                     }
                 }
@@ -1184,19 +1366,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                         // ring, as at a crash: a rejoining node boots
                         // with an empty inbox, and pre-departure
                         // stragglers count as lost to the churn.
-                        let occ_start = slot.occ_start as usize;
-                        let occ_words = slot.info.degree().div_ceil(64);
-                        for plane in &planes.recv {
-                            // SAFETY: sequential section of the round
-                            // loop — no worker holds any plane reference
-                            // — and each node's rows are disjoint from
-                            // every other node's.
-                            let occ = unsafe { plane.occ_row(occ_start, occ_words) };
-                            for word in occ.iter_mut() {
-                                stats.dropped_messages += u64::from(word.count_ones());
-                                *word = 0;
-                            }
-                        }
+                        stats.dropped_messages += Self::wipe_inbox(slot, &planes);
                     }
                 }
                 if flips_on {
@@ -1212,6 +1382,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
                     }
                 }
             }
+            if let Some(adv) = reorder {
+                Self::reorder_inboxes(&slots[..active_len], round, &planes, adv);
+            }
             compute(&mut slots[..active_len], round, &planes);
             active_len = Self::delivery_phase(
                 &config,
@@ -1219,8 +1392,6 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 active_len,
                 compact,
                 &planes,
-                row_offsets,
-                &occ_offsets,
                 &mut alive,
                 flips_on.then_some(&edge_down).map(Vec::as_slice),
                 &mut outputs,
@@ -1247,9 +1418,10 @@ impl<'g, P: Protocol> Engine<'g, P> {
 
     /// Compute phase for one node: run `init` (round 0) or `round` against
     /// the node's receive-plane row, writing sends into its send-plane row,
-    /// and stash any halt decision in [`NodeSlot::pending_halt`]. The
-    /// receive row is cleared afterwards, ready for next round's delivery.
-    /// Touches nothing outside the slot and its two plane rows.
+    /// and stash any halt decision in [`NodeSlot::pending_halt`]. Touches
+    /// nothing outside the slot and its two plane rows, and only reads the
+    /// receive row; the round loop clears the consumed receive bitmap
+    /// before delivery.
     fn step(slot: &mut NodeSlot<'g, P>, round: usize, planes: &Planes) {
         if !slot.active {
             return;
@@ -1259,9 +1431,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let degree = slot.info.degree();
         let occ_words = degree.div_ceil(64);
         // SAFETY: each node id occurs in exactly one slot and CSR rows of
-        // distinct nodes are disjoint (occupancy rows are word-aligned per
-        // node), so these are the only live references to the rows (the
-        // compute phase hands each slot to exactly one worker, and no
+        // distinct nodes are disjoint (send occupancy rows are word-aligned
+        // per node), so these are the only live references to the rows
+        // (the compute phase hands each slot to exactly one worker, and no
         // delivery runs concurrently).
         let send_words = unsafe { planes.send.words_row(start, degree) };
         // SAFETY: same row disjointness, on the word-aligned occupancy row.
@@ -1269,10 +1441,13 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let recv_plane = planes.recv_for(round);
         // SAFETY: same row-disjointness argument, on this round's receive
         // plane (ring position `round % len`; delivery never writes the
-        // current round's plane, only future arrivals).
+        // current round's plane while the compute phase runs).
         let recv_words = unsafe { recv_plane.words_row(start, degree) };
-        // SAFETY: as above, on the receive plane's occupancy row.
-        let recv_occ = unsafe { recv_plane.occ_row(occ_start, occ_words) };
+        // SAFETY: the compute phase never writes a receive bitmap (the
+        // round loop clears it, and delivery sets bits, only outside this
+        // phase), so shared views of words that neighbouring rows also
+        // read are sound.
+        let recv_occ = unsafe { recv_plane.occ_view(start, degree) };
         let NodeSlot {
             proto,
             info,
@@ -1292,56 +1467,78 @@ impl<'g, P: Protocol> Engine<'g, P> {
         if round == 0 || *needs_init {
             // Round 0, or the node is rejoining after a crash (restart
             // mode): boot with reset state. Stragglers were wiped at crash
-            // time, so the inbox below is empty either way.
+            // time, so the inbox is empty either way.
             *needs_init = false;
             proto.init(&mut ctx);
         } else {
-            if let Some(adv) = &planes.reorder {
-                if degree > 1 && adv.reorders_inbox(round, info.id) {
-                    // In-place Fisher–Yates over the port-indexed row,
-                    // keyed purely by (round, node, step): messages
-                    // surface out of port order, misattributed to the
-                    // wrong neighbors — and identically so under any
-                    // execution order, since the row is exclusively ours.
-                    // Payload word and occupancy bit travel together, so a
-                    // silent port stays silent wherever it lands.
-                    for i in (1..degree).rev() {
-                        let j = (adv.shuffle_coin(round, info.id, i) % (i as u64 + 1)) as usize;
-                        recv_words.swap(i, j);
-                        let bi = recv_occ[i / 64] >> (i % 64) & 1;
-                        let bj = recv_occ[j / 64] >> (j % 64) & 1;
-                        if bi != bj {
-                            recv_occ[i / 64] ^= 1 << (i % 64);
-                            recv_occ[j / 64] ^= 1 << (j % 64);
-                        }
-                    }
-                }
-            }
-            let inbox = Inbox::new(recv_words, recv_occ);
+            let inbox = Inbox::from_bit_range(recv_words, recv_occ, (start % 64) as u32);
             if let Status::Halt(out) = proto.round(&mut ctx, inbox) {
                 *pending_halt = Some(out);
             }
         }
-        // Consume this round's inbox so the plane's next turn in the ring
-        // starts from an empty row: clearing the occupancy words *is* the
-        // drain — stale payload words are unreachable without their bits.
-        for word in recv_occ.iter_mut() {
-            *word = 0;
+    }
+
+    /// The inbox-reordering adversary, applied before the compute phase
+    /// of `round` to every node that will read its inbox: an in-place
+    /// Fisher–Yates over the node's port-indexed receive row, keyed purely
+    /// by (round, node, step), so messages surface out of port order,
+    /// misattributed to the wrong neighbors — identically under any
+    /// executor. Payload word and occupancy bit travel together, so a
+    /// silent port stays silent wherever it lands. It runs in the round
+    /// loop's sequential section because receive rows share occupancy
+    /// words.
+    fn reorder_inboxes(slots: &[NodeSlot<'g, P>], round: usize, planes: &Planes, adv: Adversary) {
+        let plane = planes.recv_for(round);
+        for slot in slots {
+            let (id, degree) = (slot.info.id, slot.info.degree());
+            if !slot.active || slot.needs_init || degree <= 1 || !adv.reorders_inbox(round, id) {
+                continue;
+            }
+            let start = slot.row_start as usize;
+            // SAFETY: sequential section of the round loop — no worker
+            // holds any plane reference — and the row is this node's own.
+            let words = unsafe { plane.words_row(start, degree) };
+            // SAFETY: as above; no other reference to the bitmap is live.
+            let occ = unsafe { plane.occ_all() };
+            for i in (1..degree).rev() {
+                let j = (adv.shuffle_coin(round, id, i) % (i as u64 + 1)) as usize;
+                words.swap(i, j);
+                let (bi, bj) = (start + i, start + j);
+                if (occ[bi / 64] >> (bi % 64) ^ occ[bj / 64] >> (bj % 64)) & 1 == 1 {
+                    occ[bi / 64] ^= 1 << (bi % 64);
+                    occ[bj / 64] ^= 1 << (bj % 64);
+                }
+            }
         }
     }
 
-    /// Delivery for one sender: drain its send-plane row, scattering each
-    /// message into the receiver's receive-plane cell (or counting a drop)
-    /// and accumulating statistics into `tally`. `on_message` runs once per
-    /// message before the drop decision — the trace hook; the untraced
-    /// paths pass a no-op closure that monomorphizes away.
+    /// Clears `slot`'s receive row in every plane of the ring, returning
+    /// how many messages it held: the crash and leave wipes.
+    fn wipe_inbox(slot: &NodeSlot<'g, P>, planes: &Planes) -> u64 {
+        planes
+            .recv
+            .iter()
+            .map(|plane| {
+                // SAFETY: called only from the round loop's sequential
+                // section — no worker holds any plane reference.
+                let occ = unsafe { plane.occ_all() };
+                take_bits(occ, slot.row_start as usize, slot.info.degree())
+            })
+            .sum()
+    }
+
+    /// The delivery kernel, for one sender: drain its send-plane row,
+    /// deciding each message's fate (statistics, `on_message`, churn,
+    /// liveness, fault coins, delay) and queueing survivors into `batch`
+    /// at the mirror of their slot, then write the batch out.
     #[inline]
-    fn deliver_slot_with(
+    fn deliver_slot<'p>(
         slot: &NodeSlot<'g, P>,
-        planes: &Planes,
-        args: &DeliverArgs<'_>,
+        planes: &'p Planes,
+        args: &DeliverArgs<'p>,
+        batch: &mut Batch<'p>,
         tally: &mut Tally,
-        mut on_message: impl FnMut(NodeId, NodeId, usize),
+        on_message: &mut impl FnMut(NodeId, NodeId, usize),
     ) {
         let start = slot.row_start as usize;
         let occ_start = slot.occ_start as usize;
@@ -1429,10 +1626,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                     }
                     None => 0,
                 };
-                let rev = slot.reverse_port[port] as usize;
-                let cell_idx = args.row_offsets[to.index()] as usize + rev;
-                let occ_idx = args.occ_offsets[to.index()] as usize + rev / 64;
-                let occ_mask = 1u64 << (rev % 64);
+                let cell = slot.mirror[port];
                 if args
                     .adversary
                     .is_some_and(|adv| adv.duplicates_message(args.round, slot.info.id, to))
@@ -1444,82 +1638,17 @@ impl<'g, P: Protocol> Engine<'g, P> {
                     // within this phase. Duplication is free on words —
                     // the same packed frame is scattered twice.
                     tally.duplicated_messages += 1;
-                    Self::place_word(
-                        planes,
-                        args.round + 2 + delay,
-                        cell_idx,
-                        occ_idx,
-                        occ_mask,
-                        word,
-                        tally,
-                    );
+                    batch.push(planes.recv_for(args.round + 2 + delay), cell, word, tally);
                 }
-                Self::place_word(
-                    planes,
-                    args.round + 1 + delay,
-                    cell_idx,
-                    occ_idx,
-                    occ_mask,
-                    word,
-                    tally,
-                );
+                let plane = if delay == 0 {
+                    args.next
+                } else {
+                    planes.recv_for(args.round + 1 + delay)
+                };
+                batch.push(plane, cell, word, tally);
             }
         }
-    }
-
-    /// Writes one packed message word into the receive-plane ring at its
-    /// arrival round's cell for the directed edge `cell_idx`, setting the
-    /// receiver's occupancy bit, and counting a collision — two in-flight
-    /// messages of one directed edge converging on the same arrival round,
-    /// where the later-sent one wins — as a lost message. Collisions
-    /// cannot occur in synchronous (zero-delay) mode: every edge delivers
-    /// at most one message per phase and the receiver drains its row each
-    /// round.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn place_word(
-        planes: &Planes,
-        arrival_round: usize,
-        cell_idx: usize,
-        occ_idx: usize,
-        occ_mask: u64,
-        word: u64,
-        tally: &mut Tally,
-    ) {
-        let plane = planes.recv_for(arrival_round);
-        // SAFETY: `cell_idx` addresses the payload cell of one directed
-        // edge (sender → to); reverse ports are a bijection on directed
-        // edges, so within this delivery phase no other sender (on any
-        // thread) writes any plane's copy of this cell — and the original
-        // and duplicate of this edge target planes of *different* arrival
-        // rounds. Nothing reads the receive planes during delivery. A
-        // previous phase's occupant (a slower message from an earlier
-        // round) is only ever overwritten here, by the one worker that
-        // owns the edge this phase.
-        unsafe { plane.write_word(cell_idx, word) };
-        // SAFETY: the occupancy *word* is shared — it covers up to 64
-        // ports of the receiver, each fed by a different sender — so the
-        // bit set must be the atomic RMW (no `&mut` to any occupancy word
-        // exists during delivery). The returned prior word detects the
-        // collision the `Option::replace` used to: our *bit* already set
-        // means an earlier phase parked a message on this edge for the
-        // same arrival round.
-        let prior = unsafe { plane.occ_fetch_or(occ_idx, occ_mask) };
-        if prior & occ_mask != 0 {
-            tally.dropped_messages += 1;
-        }
-    }
-
-    /// Untraced delivery for one sender (see
-    /// [`deliver_slot_with`](Self::deliver_slot_with)).
-    #[inline]
-    fn deliver_slot(
-        slot: &NodeSlot<'g, P>,
-        planes: &Planes,
-        args: &DeliverArgs<'_>,
-        tally: &mut Tally,
-    ) {
-        Self::deliver_slot_with(slot, planes, args, tally, |_, _, _| {});
+        batch.flush(tally);
     }
 
     /// Delivery phase: apply this round's halts, scatter every send-plane
@@ -1535,8 +1664,6 @@ impl<'g, P: Protocol> Engine<'g, P> {
         active_len: usize,
         compact: bool,
         planes: &Planes,
-        row_offsets: &[u32],
-        occ_offsets: &[u32],
         alive: &mut [bool],
         edge_down: Option<&[u64]>,
         outputs: &mut [Option<P::Output>],
@@ -1556,9 +1683,14 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 *active_count -= 1;
             }
         }
+        // The receive plane this round's compute phase consumed is cleared
+        // before anything is delivered: with the longest delay, delivery
+        // writes arrivals of round `round + ring_len`, which land in it.
+        // SAFETY: the compute phase is over and delivery has not started,
+        // so no worker holds any plane reference.
+        unsafe { planes.recv_for(round).occ_all() }.fill(0);
         let args = DeliverArgs {
-            row_offsets,
-            occ_offsets,
+            next: planes.recv_for(round + 1),
             alive,
             bit_budget: config.bit_budget,
             round,
@@ -1570,11 +1702,17 @@ impl<'g, P: Protocol> Engine<'g, P> {
             // Tracing pins delivery to ascending node-id order (compaction
             // is off, so slot order is id order) and stays sequential —
             // the documented small-graph path.
-            let mut tally = Tally::default();
-            for slot in slots.iter() {
-                Self::deliver_slot_traced(slot, planes, &args, &mut tally, traces, round);
+            // SAFETY: this thread delivers the whole phase.
+            unsafe {
+                Self::deliver_all(slots, planes, &args, BitSet::Plain, |from, to, bits| {
+                    traces.push(MessageTrace {
+                        round,
+                        from,
+                        to,
+                        bits,
+                    });
+                })
             }
-            tally
         } else {
             deliver(&mut slots[..active_len], planes, &args)
         };
@@ -1602,25 +1740,6 @@ impl<'g, P: Protocol> Engine<'g, P> {
             }
         }
         len
-    }
-
-    /// [`deliver_slot`](Self::deliver_slot) plus trace recording.
-    fn deliver_slot_traced(
-        slot: &NodeSlot<'g, P>,
-        planes: &Planes,
-        args: &DeliverArgs<'_>,
-        tally: &mut Tally,
-        traces: &mut Vec<MessageTrace>,
-        round: usize,
-    ) {
-        Self::deliver_slot_with(slot, planes, args, tally, |from, to, bits| {
-            traces.push(MessageTrace {
-                round,
-                from,
-                to,
-                bits,
-            });
-        });
     }
 }
 
@@ -1661,35 +1780,42 @@ pub fn run_protocol<'g, P: Protocol>(
 /// (synchronous runs: 1; an [`AsyncScheduler`] with max delay `d` plus the
 /// duplication adversary: `d + 2`).
 ///
-/// Each plane stores 8 payload bytes per directed edge plus one occupancy
-/// word per node per 64 ports — at the bench matrix's average degree 8
-/// that is exactly 1 amortized bitmap byte per directed edge, 9 total
-/// (the bound [`plane_bytes_for`]'s unit test pins). Message size does
-/// not appear: the plane word is 64 bits no matter what the protocol
-/// packs into it, which is the point of the packed representation —
-/// `plane_bytes(10^7, 8·10^7, 1)` ≈ 1.4 GB regardless of `Msg`.
+/// A receive plane is exactly 8 payload bytes plus 1 occupancy bit per
+/// directed edge (the bitmap rounded up to whole words). The send plane
+/// keeps one occupancy word per node per 64 ports, so that compute-phase
+/// writes never share a word across nodes — at the bench matrix's average
+/// degree 8 that is 1 amortized bitmap byte per directed edge. Message
+/// size does not appear: the plane word is 64 bits no matter what the
+/// protocol packs into it, which is the point of the packed
+/// representation — `plane_bytes(10^7, 8·10^7, 1)` ≈ 1.37 GB regardless
+/// of `Msg`.
 pub fn plane_bytes(n: usize, directed_edges: usize, ring_len: usize) -> usize {
     let avg_degree = if n == 0 {
         0
     } else {
         directed_edges.div_ceil(n)
     };
-    let occ_words = n * avg_degree.div_ceil(64).max(1);
-    (1 + ring_len) * (directed_edges + occ_words) * 8
+    let send_occ_words = n * avg_degree.div_ceil(64).max(1);
+    planes_bytes(directed_edges, send_occ_words, ring_len)
 }
 
-/// Exact plane bytes for `graph` (per-node `⌈degree / 64⌉` occupancy
-/// accounting instead of [`plane_bytes`]'s homogeneous estimate), for a
-/// receive ring of `ring_len` planes. This is what `bench_baseline`
-/// records per trajectory entry.
+/// Exact plane bytes for `graph` (per-node `⌈degree / 64⌉` send-plane
+/// occupancy accounting instead of [`plane_bytes`]'s homogeneous
+/// estimate), for a receive ring of `ring_len` planes. This is what
+/// `bench_baseline` records per trajectory entry.
 pub fn plane_bytes_for(graph: &Graph, ring_len: usize) -> usize {
-    let n = graph.num_nodes();
-    let payload_words = graph.row_offsets()[n] as usize;
-    let occ_words: usize = graph
-        .nodes()
-        .map(|v| graph.neighbor_ids(v).len().div_ceil(64))
-        .sum();
-    (1 + ring_len) * (payload_words + occ_words) * 8
+    let payload_words = graph.row_offsets()[graph.num_nodes()] as usize;
+    let send_occ_words: usize = graph.nodes().map(|v| graph.degree(v).div_ceil(64)).sum();
+    planes_bytes(payload_words, send_occ_words, ring_len)
+}
+
+/// One send plane (`directed_edges` payload words plus `send_occ_words`
+/// occupancy words) and `ring_len` receive planes (payload words plus one
+/// bit per directed edge), in bytes.
+fn planes_bytes(directed_edges: usize, send_occ_words: usize, ring_len: usize) -> usize {
+    let send = directed_edges + send_occ_words;
+    let recv = directed_edges + directed_edges.div_ceil(64);
+    (send + ring_len * recv) * 8
 }
 
 #[cfg(test)]
@@ -1916,8 +2042,9 @@ mod tests {
     }
 
     /// Broadcasts the sender id, then asserts every message arrived on the
-    /// port whose neighbor is that sender — i.e. the plane scatter resolved
-    /// reverse ports exactly as the old per-edge `position()` scan did.
+    /// port whose neighbor is that sender — i.e. the plane scatter through
+    /// the mirror table routes exactly as the old per-edge `position()`
+    /// scan did.
     struct PortEcho;
     impl Protocol for PortEcho {
         type Msg = u32;
@@ -1942,8 +2069,8 @@ mod tests {
         }
     }
 
-    /// Regression for the reverse-port table: `complete(512)` was the
-    /// worst case of the old `O(Σ deg²)` construction in `Engine::build`;
+    /// Regression for the mirror table: `complete(512)` was the worst case
+    /// of the old `O(Σ deg²)` port construction in `Engine::build`;
     /// the engine now borrows the graph's `O(n + m)` table and must route
     /// every one of the 512·511 messages to the same port as before.
     #[test]

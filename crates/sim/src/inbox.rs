@@ -7,31 +7,34 @@ use crate::{PackedMsg, Port};
 /// The engine keeps all in-flight messages in flat *message planes* shaped
 /// exactly like the graph's CSR adjacency block (see
 /// [`congest_graph::Graph::row_offsets`]): word `row_offsets[v] + p` of a
-/// plane's payload array belongs to port `p` of node `v`, and one bit of
-/// the plane's occupancy bitmap says whether that word holds a message.
-/// An `Inbox` is a zero-copy view of one node's payload row plus its
-/// (word-aligned) occupancy row — port `p` carries a message iff bit
-/// `p % 64` of occupancy word `p / 64` is set, in which case the payload
-/// word unpacks via [`PackedMsg::unpack`].
+/// plane's payload array belongs to port `p` of node `v`, and bit
+/// `row_offsets[v] + p` of the plane's occupancy bitmap says whether that
+/// word holds a message. An `Inbox` is a zero-copy view of one node's
+/// payload row plus the bit range of its occupancy — port `p` carries a
+/// message iff its bit is set, in which case the payload word unpacks via
+/// [`PackedMsg::unpack`]. A receive row may start anywhere inside an
+/// occupancy word and share that word with its neighbors in the CSR
+/// order; the view masks their bits off.
 ///
 /// # Port ordering guarantee
 ///
 /// [`iter`](Inbox::iter) yields `(port, msg)` pairs in strictly ascending
 /// port order. This is structural (the row *is* indexed by port and the
-/// scan walks occupancy words low-bit-first via `trailing_zeros`), not the
+/// scan walks occupancy bits low-bit-first via `trailing_zeros`), not the
 /// result of a sort, so it costs nothing and can never be violated by a
 /// delivery-order bug. Silent ports cost one skipped zero bit, not a cell
-/// inspection: a mostly-empty inbox is scanned in `degree / 64` word
-/// tests.
+/// inspection: a mostly-empty inbox is scanned 64 ports at a time.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
     /// Payload words, one per port (`len == degree`). Words of silent
     /// ports are stale garbage — the occupancy bit is the only truth.
     words: &'a [u64],
-    /// Occupancy words covering the row: bit `p % 64` of `occ[p / 64]` is
-    /// set iff port `p` received a message. Bits at or above `words.len()`
-    /// are always zero.
+    /// Occupancy words covering the row: port `p` is bit `shift + p` of
+    /// their concatenation (bit `i % 64` of `occ[i / 64]`). Bits outside
+    /// the row may belong to other nodes and are never read as ports.
     occ: &'a [u64],
+    /// Position of port 0's bit inside `occ[0]` (`0..64`).
+    shift: u32,
     _msg: PhantomData<fn() -> M>,
 }
 
@@ -45,11 +48,11 @@ impl<M> Clone for Inbox<'_, M> {
 impl<M> Copy for Inbox<'_, M> {}
 
 impl<'a, M> Inbox<'a, M> {
-    /// Wraps a port-indexed payload row and its occupancy words
-    /// (`occ.len() == words.len().div_ceil(64)`; occupancy bits at or
-    /// above `words.len()` must be zero). The engine calls this with rows
-    /// of its receive plane; tests and custom harnesses may build one from
-    /// any pair of slices satisfying the invariant.
+    /// Wraps a port-indexed payload row and its occupancy words, the row
+    /// starting at bit 0 (`occ.len() == words.len().div_ceil(64)`;
+    /// occupancy bits at or above `words.len()` must be zero). Tests and
+    /// custom harnesses may build one from any pair of slices satisfying
+    /// the invariant.
     #[inline]
     pub fn new(words: &'a [u64], occ: &'a [u64]) -> Self {
         debug_assert_eq!(occ.len(), words.len().div_ceil(64));
@@ -61,6 +64,22 @@ impl<'a, M> Inbox<'a, M> {
         Inbox {
             words,
             occ,
+            shift: 0,
+            _msg: PhantomData,
+        }
+    }
+
+    /// The engine's receive-row view: ports `0..words.len()` are the bits
+    /// starting at bit `shift` of `occ`, which must cover
+    /// `shift + words.len()` bits. Bits outside that range may be set.
+    #[inline]
+    pub(crate) fn from_bit_range(words: &'a [u64], occ: &'a [u64], shift: u32) -> Self {
+        debug_assert!(shift < 64, "the row starts inside occ[0]");
+        debug_assert!(occ.len() * 64 >= shift as usize + words.len());
+        Inbox {
+            words,
+            occ,
+            shift,
             _msg: PhantomData,
         }
     }
@@ -72,11 +91,37 @@ impl<'a, M> Inbox<'a, M> {
         self.words.len()
     }
 
+    /// Number of 64-port groups of the row.
+    #[inline]
+    fn port_groups(&self) -> usize {
+        self.words.len().div_ceil(64)
+    }
+
+    /// Occupancy of ports `64k .. 64k + 64` as one word aligned to port
+    /// `64k`, with bits at or beyond [`num_ports`](Self::num_ports)
+    /// cleared. `k` must be below [`port_groups`](Self::port_groups).
+    #[inline]
+    fn group(&self, k: usize) -> u64 {
+        let mut bits = self.occ[k] >> self.shift;
+        if self.shift != 0 {
+            if let Some(next) = self.occ.get(k + 1) {
+                bits |= next << (64 - self.shift);
+            }
+        }
+        let left = self.words.len() - 64 * k;
+        if left < 64 {
+            bits &= (1u64 << left) - 1;
+        }
+        bits
+    }
+
     /// Number of messages received this round: a popcount over the
-    /// occupancy words, `O(degree / 64)`.
+    /// occupancy bits, `O(degree / 64)`.
     #[inline]
     pub fn received_count(&self) -> usize {
-        self.occ.iter().map(|w| w.count_ones() as usize).sum()
+        (0..self.port_groups())
+            .map(|k| self.group(k).count_ones() as usize)
+            .sum()
     }
 
     /// Alias of [`received_count`](Self::received_count).
@@ -89,7 +134,7 @@ impl<'a, M> Inbox<'a, M> {
     /// tests).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.occ.iter().all(|&w| w == 0)
+        (0..self.port_groups()).all(|k| self.group(k) == 0)
     }
 }
 
@@ -99,7 +144,8 @@ impl<'a, M: PackedMsg> Inbox<'a, M> {
     /// out-of-range ports.
     #[inline]
     pub fn get(&self, port: Port) -> Option<M> {
-        if port < self.words.len() && self.occ[port / 64] & (1u64 << (port % 64)) != 0 {
+        let bit = self.shift as usize + port;
+        if port < self.words.len() && self.occ[bit / 64] & (1u64 << (bit % 64)) != 0 {
             Some(M::unpack(self.words[port]))
         } else {
             None
@@ -113,11 +159,13 @@ impl<'a, M: PackedMsg> Inbox<'a, M> {
     #[inline]
     pub fn iter(&self) -> InboxIter<'a, M> {
         InboxIter {
-            words: self.words,
-            occ: self.occ,
-            word_idx: 0,
-            pending: self.occ.first().copied().unwrap_or(0),
-            _msg: PhantomData,
+            inbox: *self,
+            group: 0,
+            pending: if self.words.is_empty() {
+                0
+            } else {
+                self.group(0)
+            },
         }
     }
 }
@@ -143,26 +191,22 @@ impl<'a, M: PackedMsg> IntoIterator for &Inbox<'a, M> {
 }
 
 /// Iterator over an [`Inbox`], yielding `(port, msg)` in ascending port
-/// order via a `trailing_zeros` scan of the occupancy words.
+/// order via a `trailing_zeros` scan of the occupancy bits.
 #[derive(Debug)]
 pub struct InboxIter<'a, M> {
-    words: &'a [u64],
-    occ: &'a [u64],
-    /// Index of the occupancy word `pending` was loaded from.
-    word_idx: usize,
-    /// Unvisited bits of occupancy word `word_idx`.
+    inbox: Inbox<'a, M>,
+    /// Index of the 64-port group `pending` was loaded from.
+    group: usize,
+    /// Unvisited bits of port group `group`.
     pending: u64,
-    _msg: PhantomData<fn() -> M>,
 }
 
 impl<M> Clone for InboxIter<'_, M> {
     fn clone(&self) -> Self {
         InboxIter {
-            words: self.words,
-            occ: self.occ,
-            word_idx: self.word_idx,
+            inbox: self.inbox,
+            group: self.group,
             pending: self.pending,
-            _msg: PhantomData,
         }
     }
 }
@@ -173,25 +217,24 @@ impl<'a, M: PackedMsg> Iterator for InboxIter<'a, M> {
     #[inline]
     fn next(&mut self) -> Option<(Port, M)> {
         while self.pending == 0 {
-            self.word_idx += 1;
-            if self.word_idx >= self.occ.len() {
+            self.group += 1;
+            if self.group >= self.inbox.port_groups() {
                 return None;
             }
-            self.pending = self.occ[self.word_idx];
+            self.pending = self.inbox.group(self.group);
         }
         let bit = self.pending.trailing_zeros() as usize;
         // Clear the lowest set bit.
         self.pending &= self.pending - 1;
-        let port = self.word_idx * 64 + bit;
-        Some((port, M::unpack(self.words[port])))
+        let port = self.group * 64 + bit;
+        Some((port, M::unpack(self.inbox.words[port])))
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         let remaining = self.pending.count_ones() as usize
-            + self.occ[(self.word_idx + 1).min(self.occ.len())..]
-                .iter()
-                .map(|w| w.count_ones() as usize)
+            + (self.group + 1..self.inbox.port_groups())
+                .map(|k| self.inbox.group(k).count_ones() as usize)
                 .sum::<usize>();
         (remaining, Some(remaining))
     }
@@ -283,6 +326,56 @@ mod tests {
             sum += msg as usize + port;
         }
         assert_eq!(sum, 8);
+    }
+
+    /// A receive row that starts mid-word and straddles word boundaries,
+    /// with foreign bits set on both sides of it, reads exactly its own
+    /// ports — the engine's one-bit-per-slot receive bitmap.
+    #[test]
+    fn bit_range_rows_ignore_neighbouring_bits() {
+        for (shift, len) in [
+            (0u32, 5usize),
+            (7, 57),
+            (7, 58),
+            (63, 1),
+            (63, 65),
+            (1, 130),
+            (40, 64),
+        ] {
+            let ports: Vec<usize> = (0..len).filter(|p| p % 3 != 1).collect();
+            let total = shift as usize + len;
+            let mut occ = vec![u64::MAX; total.div_ceil(64) + 1];
+            for p in 0..len {
+                let bit = shift as usize + p;
+                occ[bit / 64] &= !(1 << (bit % 64));
+            }
+            for &p in &ports {
+                let bit = shift as usize + p;
+                occ[bit / 64] |= 1 << (bit % 64);
+            }
+            let words: Vec<u64> = (0..len as u64).map(|p| p * 10).collect();
+            let inbox: Inbox<'_, u64> = Inbox::from_bit_range(&words, &occ, shift);
+            let got: Vec<(Port, u64)> = inbox.iter().collect();
+            let want: Vec<(Port, u64)> = ports.iter().map(|&p| (p, p as u64 * 10)).collect();
+            assert_eq!(got, want, "shift {shift}, len {len}");
+            assert_eq!(inbox.received_count(), ports.len());
+            assert_eq!(inbox.iter().len(), ports.len());
+            assert!(!inbox.is_empty());
+            for p in 0..len + 3 {
+                assert_eq!(
+                    inbox.get(p),
+                    (p < len && p % 3 != 1).then_some(p as u64 * 10)
+                );
+            }
+            // All of the row's own bits clear: empty, whatever surrounds it.
+            for p in 0..len {
+                let bit = shift as usize + p;
+                occ[bit / 64] &= !(1 << (bit % 64));
+            }
+            let inbox: Inbox<'_, u64> = Inbox::from_bit_range(&words, &occ, shift);
+            assert!(inbox.is_empty(), "shift {shift}, len {len}");
+            assert_eq!(inbox.iter().count(), 0);
+        }
     }
 
     #[test]

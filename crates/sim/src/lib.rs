@@ -41,14 +41,14 @@
 //!
 //! Messages move through flat *message planes* shaped like the same CSR
 //! block — one packed 64-bit payload word per directed edge (see
-//! [`PackedMsg`]) plus a per-node occupancy bitmap bit: a node's sends
-//! fill its row of the send plane, and delivery scatters each word into
-//! the receiver's row of the receive plane, which the receiver observes
-//! next round as a port-indexed [`Inbox`]. Planes are preallocated once
-//! per run (≤ 9 bytes per directed edge at average degree 8 — see
-//! [`plane_bytes_for`]), the steady-state round loop allocates nothing,
-//! inboxes arrive port-ordered without sorting, and silent stretches are
-//! skipped 64 ports at a time via the bitmap.
+//! [`PackedMsg`]) plus an occupancy bit: a node's sends fill its row of
+//! the send plane, and delivery scatters each word, through the graph's
+//! mirror-slot table, into the receiver's row of the receive plane, which
+//! the receiver observes next round as a port-indexed [`Inbox`]. Planes
+//! are preallocated once per run (≤ 9 bytes per directed edge at average
+//! degree 8 — see [`plane_bytes_for`]), the steady-state round loop
+//! allocates nothing, inboxes arrive port-ordered without sorting, and
+//! silent stretches are skipped 64 ports at a time via the bitmap.
 //!
 //! # Example: flood a token from node 0
 //!
