@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{lex, LexError, Token, TokenKind};
 use crate::walk::SourceFile;
 
 /// Rule R1: no `std::collections::HashMap`/`HashSet` in deterministic
@@ -140,21 +140,36 @@ impl Diagnostic {
     }
 }
 
-/// Engine-internal round-loop functions of `crates/sim/src/engine.rs`
-/// subject to [`NO_PANIC_IN_ROUND`]: everything executed per round on
-/// the hot path between `Engine::build` and `RunOutcome`.
+/// The engine source whose round-loop functions are in scope.
+const ENGINE_FILE: &str = "crates/sim/src/engine.rs";
+
+/// Engine-internal round-loop functions of [`ENGINE_FILE`] subject to
+/// [`NO_PANIC_IN_ROUND`]: everything executed per round on the hot path
+/// between `Engine::build` and `RunOutcome`. A unit test checks that each
+/// is still defined there, so a rename cannot drop one silently.
 const ENGINE_LOOP_FNS: &[&str] = &[
     "run",
     "run_parallel",
+    "run_parallel_with",
+    "run_sharded",
+    "run_split",
     "run_with",
+    "pieces",
+    "row",
+    "info",
     "step",
     "step_all",
     "deliver_all",
-    "deliver_slot",
+    "deliver_node",
     "push",
     "flush",
+    "merge",
+    "add_to",
     "reorder_inboxes",
-    "wipe_inbox",
+    "wipe",
+    "depart",
+    "reboot",
+    "relist",
     "delivery_phase",
 ];
 
@@ -177,6 +192,33 @@ struct FileView<'a> {
 }
 
 impl<'a> FileView<'a> {
+    /// Lexes `file` and marks its test code.
+    fn new(file: &'a SourceFile) -> Result<Self, LexError> {
+        let tokens = lex(&file.src)?;
+        let sig: Vec<usize> = tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| {
+                !matches!(
+                    t.kind,
+                    TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
+                )
+            })
+            .map(|(i, _)| i)
+            .collect();
+        let in_test = vec![file.is_test_file; sig.len()];
+        let mut view = FileView {
+            file,
+            tokens,
+            sig,
+            in_test,
+        };
+        if !file.is_test_file {
+            mark_test_extents(&mut view);
+        }
+        Ok(view)
+    }
+
     fn text(&self, k: usize) -> &'a str {
         match self.sig.get(k) {
             Some(&i) => self.tokens[i].text(&self.file.src),
@@ -503,7 +545,7 @@ fn rule_no_panic_in_round(view: &FileView<'_>, diags: &mut Vec<Diagnostic>) {
     if !view.file.is_deterministic_unit() || view.file.is_test_file {
         return;
     }
-    let engine_file = view.file.rel_path == "crates/sim/src/engine.rs";
+    let engine_file = view.file.rel_path == ENGINE_FILE;
     let n = view.sig.len();
     let mut k = 0;
     while k < n {
@@ -651,8 +693,8 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut msg_types = Vec::new();
     for file in files {
-        let tokens = match lex(&file.src) {
-            Ok(t) => t,
+        let view = match FileView::new(file) {
+            Ok(view) => view,
             Err(e) => {
                 diags.push(Diagnostic {
                     file: file.rel_path.clone(),
@@ -663,28 +705,6 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
                 continue;
             }
         };
-        let sig: Vec<usize> = tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                !matches!(
-                    t.kind,
-                    TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-                )
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let in_test = vec![file.is_test_file; sig.len()];
-        let mut view = FileView {
-            file,
-            tokens,
-            sig,
-            in_test,
-        };
-        if !file.is_test_file {
-            mark_test_extents(&mut view);
-        }
-
         let mut file_diags = Vec::new();
         let suppressions = collect_suppressions(&view, &mut diags);
         rule_no_std_hash(&view, &mut file_diags);
@@ -712,28 +732,9 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
 pub fn discover_msg_types(files: &[SourceFile]) -> Vec<MsgType> {
     let mut msg_types = Vec::new();
     for file in files {
-        let Ok(tokens) = lex(&file.src) else { continue };
-        let sig: Vec<usize> = tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                !matches!(
-                    t.kind,
-                    TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-                )
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let in_test = vec![file.is_test_file; sig.len()];
-        let mut view = FileView {
-            file,
-            tokens,
-            sig,
-            in_test,
+        let Ok(view) = FileView::new(file) else {
+            continue;
         };
-        if !file.is_test_file {
-            mark_test_extents(&mut view);
-        }
         collect_msg_types(&view, &mut msg_types);
     }
     // Deterministic order, deduped by name.
@@ -821,6 +822,32 @@ mod tests {
         let d = run("crates/core/src/x.rs", src);
         assert_eq!(d.len(), 2, "{d:?}");
         assert!(d.iter().all(|d| d.rule == NO_PANIC_IN_ROUND));
+    }
+
+    /// A rename in the engine must come with its `ENGINE_LOOP_FNS`
+    /// entry, or the renamed function would silently lose
+    /// `no-panic-in-round` coverage.
+    #[test]
+    fn engine_loop_fns_are_defined_in_the_engine() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crates/lint has a workspace root two levels up");
+        let src = std::fs::read_to_string(root.join(ENGINE_FILE)).expect("engine source");
+        let engine = file(ENGINE_FILE, &src);
+        let view = FileView::new(&engine).expect("engine source lexes");
+        let defined: Vec<&str> = (0..view.sig.len())
+            .filter(|&k| view.text(k) == "fn" && !view.in_test[k])
+            .map(|k| view.text(k + 1))
+            .collect();
+        let missing: Vec<&&str> = ENGINE_LOOP_FNS
+            .iter()
+            .filter(|name| !defined.contains(name))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "ENGINE_LOOP_FNS names no non-test `fn` of {ENGINE_FILE}: {missing:?}"
+        );
     }
 
     #[test]

@@ -70,9 +70,57 @@ impl PackedMsg for LubyMsg {
 #[derive(Clone, Debug, Default)]
 pub struct LubyMis {
     /// Ports whose neighbor is still undecided.
-    active: Vec<bool>,
+    active: Ports,
     /// Priority drawn this phase.
     my_priority: u64,
+}
+
+/// One flag per port. Nodes of degree ≤ 64 keep them in a word, so a run
+/// allocates nothing per node; only wider nodes take a heap block. Either
+/// way the enum takes 16 bytes.
+#[derive(Clone, Debug)]
+enum Ports {
+    /// Bit `p` is port `p`'s flag.
+    Inline(u64),
+    Wide(Box<[bool]>),
+}
+
+impl Default for Ports {
+    fn default() -> Self {
+        Ports::Inline(0)
+    }
+}
+
+impl Ports {
+    /// Every port of a degree-`degree` node flagged.
+    fn all(degree: usize) -> Self {
+        match degree {
+            0 => Ports::Inline(0),
+            1..=64 => Ports::Inline(u64::MAX >> (64 - degree)),
+            _ => Ports::Wide(vec![true; degree].into_boxed_slice()),
+        }
+    }
+
+    fn get(&self, port: usize) -> bool {
+        match self {
+            Ports::Inline(bits) => bits >> port & 1 == 1,
+            Ports::Wide(flags) => flags[port],
+        }
+    }
+
+    fn clear(&mut self, port: usize) {
+        match self {
+            Ports::Inline(bits) => *bits &= !(1 << port),
+            Ports::Wide(flags) => flags[port] = false,
+        }
+    }
+
+    fn any(&self) -> bool {
+        match self {
+            Ports::Inline(bits) => *bits != 0,
+            Ports::Wide(flags) => flags.contains(&true),
+        }
+    }
 }
 
 impl LubyMis {
@@ -82,7 +130,7 @@ impl LubyMis {
     }
 
     fn has_active_neighbor(&self) -> bool {
-        self.active.iter().any(|&a| a)
+        self.active.any()
     }
 
     fn priority_domain(n: usize) -> u64 {
@@ -99,7 +147,7 @@ impl Protocol for LubyMis {
     type Output = MisResult;
 
     fn init(&mut self, ctx: &mut Context<'_, LubyMsg>) {
-        self.active = vec![true; ctx.degree()];
+        self.active = Ports::all(ctx.degree());
     }
 
     fn round(
@@ -118,7 +166,7 @@ impl Protocol for LubyMis {
                 // coverage. Fault-free, every message here *is* `Covered`.
                 for (port, msg) in inbox {
                     if msg == LubyMsg::Covered {
-                        self.active[port] = false;
+                        self.active.clear(port);
                     }
                 }
                 if !self.has_active_neighbor() {
@@ -127,7 +175,7 @@ impl Protocol for LubyMis {
                 let domain = Self::priority_domain(ctx.info().n);
                 self.my_priority = ctx.rng().random_range(0..domain);
                 let prio = self.my_priority;
-                ctx.broadcast_filtered(LubyMsg::Priority(prio), |p| self.active[p]);
+                ctx.broadcast_filtered(LubyMsg::Priority(prio), |p| self.active.get(p));
                 Status::Active
             }
             1 => {
@@ -145,7 +193,7 @@ impl Protocol for LubyMis {
                     }
                 }
                 if won {
-                    ctx.broadcast_filtered(LubyMsg::Joined, |p| self.active[p]);
+                    ctx.broadcast_filtered(LubyMsg::Joined, |p| self.active.get(p));
                     Status::Halt(MisResult::InSet)
                 } else {
                     Status::Active
@@ -154,7 +202,7 @@ impl Protocol for LubyMis {
             _ => {
                 // Cover: leave if any neighbor joined.
                 if inbox.iter().any(|(_, m)| m == LubyMsg::Joined) {
-                    ctx.broadcast_filtered(LubyMsg::Covered, |p| self.active[p]);
+                    ctx.broadcast_filtered(LubyMsg::Covered, |p| self.active.get(p));
                     Status::Halt(MisResult::Dominated)
                 } else {
                     Status::Active
@@ -196,6 +244,9 @@ mod tests {
             generators::cycle(12),
             generators::star(30),
             generators::complete(9),
+            // Wider than 64 ports: the heap-backed flags.
+            generators::star(200),
+            generators::complete(70),
             generators::gnp(80, 0.1, &mut rng),
             generators::random_regular(60, 5, &mut rng),
             generators::grid(7, 8),

@@ -1,10 +1,12 @@
 //! Luby's MIS allocates nothing per round: its per-node state (the
-//! `active` port mask) is allocated once, in `init`, and every broadcast
+//! `active` port mask) is set once, in `init`, and every broadcast
 //! borrows it. A Luby run therefore makes the same number of heap
 //! allocations whether it is capped after one phase or runs on for
 //! several — the engine's own round loop is allocation-free (see
 //! `crates/sim/tests/alloc_free_rounds.rs`), so any difference is the
-//! protocol's.
+//! protocol's. Nor does it allocate per node: below 65 ports the mask is
+//! one inline word, so build + run makes as many allocations on a small
+//! graph as on a large one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,5 +77,12 @@ fn luby_rounds_allocate_nothing() {
         short, long,
         "Luby allocated per round: {short} allocations in {short_rounds} rounds, \
          {long} in {long_rounds}"
+    );
+    let small = generators::gnp(500, 0.01, &mut rng);
+    assert!(g.max_degree() <= 64 && small.max_degree() <= 64);
+    let (few, _) = allocations(&small, 12);
+    assert_eq!(
+        few, long,
+        "Luby allocated per node: {few} allocations at n = 500, {long} at n = 2000"
     );
 }

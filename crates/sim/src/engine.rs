@@ -1,9 +1,8 @@
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use congest_graph::{DeltaSet, EdgeId, Graph, NodeId, ShardPartition};
+use congest_graph::{DeltaSet, Graph, NodeId, ShardPartition};
 use rand::rngs::SmallRng;
-use rayon::prelude::*;
 
 use crate::message::bits_for_count;
 use crate::rng::{node_rng, phase_seed};
@@ -33,8 +32,9 @@ pub struct SimConfig {
     pub max_rounds: usize,
     /// Record every message as a [`MessageTrace`] (memory-hungry; meant
     /// for congestion analyses on small graphs). Tracing forces the
-    /// delivery phase onto a sequential ascending-node-id path and disables
-    /// active-slot compaction so trace order is reproducible.
+    /// delivery phase onto one thread, walking senders in ascending node-id
+    /// order — the order of the engine's active-id list — so trace order is
+    /// reproducible.
     pub record_traces: bool,
     /// Deterministic fault adversary (seeded message drops, duplication,
     /// reordering, corruption, and node crashes with optional restart;
@@ -268,45 +268,69 @@ pub struct ShardedRun<O> {
     pub cross_shard_messages: u64,
 }
 
-/// Everything one node owns during a run: its protocol instance, static
-/// info, private RNG, and its halt latch. Message buffers live *outside*
-/// the slot, in the engine's two flat message planes; the slot only
-/// remembers where its CSR row starts.
-///
-/// Bundling the per-node state lets a synchronous round be executed as a
-/// *compute phase* (each slot stepped independently — sequentially or in
-/// parallel) followed by a *delivery phase* (halts applied, send-plane rows
-/// scattered into the receive plane), which is what makes the round
-/// semantics independent of node processing order.
-struct NodeSlot<'g, P: Protocol> {
+/// The graph-global fields of every [`NodeInfo`], computed once per graph
+/// so that a node's `NodeInfo` can be built on the stack whenever it is
+/// needed instead of being stored per node.
+#[derive(Clone, Copy)]
+struct Globals {
+    n: usize,
+    max_degree: usize,
+    max_node_weight: u64,
+    max_edge_weight: u64,
+}
+
+impl Globals {
+    fn of(graph: &Graph) -> Self {
+        Globals {
+            n: graph.num_nodes(),
+            max_degree: graph.max_degree(),
+            max_node_weight: graph.max_node_weight(),
+            max_edge_weight: graph.max_edge_weight(),
+        }
+    }
+
+    /// Node `v`'s [`NodeInfo`], its per-port slices borrowed from `graph`.
+    #[inline]
+    fn info<'g>(&self, graph: &'g Graph, v: NodeId) -> NodeInfo<'g> {
+        NodeInfo {
+            id: v,
+            weight: graph.node_weight(v),
+            neighbor_ids: graph.neighbor_ids(v),
+            edge_weights: graph.port_edge_weights(v),
+            n: self.n,
+            max_degree: self.max_degree,
+            max_node_weight: self.max_node_weight,
+            max_edge_weight: self.max_edge_weight,
+        }
+    }
+}
+
+/// What one node owns during a run besides its plane rows: its protocol
+/// instance, private RNG, and halt latch. A run keeps one per node,
+/// indexed by id, and never moves them; its ascending list of active ids
+/// says which still step. Static info is read from the graph by id.
+struct NodeState<P: Protocol> {
     proto: P,
-    info: NodeInfo<'g>,
-    /// `mirror[p]` = the absolute slot of the reverse edge of port `p`,
-    /// which is both the receiver's payload cell and its occupancy bit in
-    /// a receive plane. This node's row of the graph's mirror table.
-    mirror: &'g [u32],
-    /// `neighbor_edges[p]` = the undirected edge id behind port `p`;
-    /// consulted by delivery when the churn adversary's edge-down bitmap
-    /// is live. Borrowed from the graph's CSR table.
-    neighbor_edges: &'g [EdgeId],
-    /// Start of this node's row in the CSR-shaped message planes
-    /// (`graph.row_offsets()[id]`); the row length is the node's degree.
-    /// In a receive plane it is also the row's first occupancy bit.
-    row_start: u32,
-    /// Start of this node's occupancy words in the send plane's bitmap,
-    /// after those of every smaller id; the row spans `⌈degree / 64⌉`
-    /// words.
-    occ_start: u32,
     rng: SmallRng,
     /// Output produced this round, if the node chose to halt; applied to
     /// the alive set only at the delivery phase so that drop decisions
     /// cannot observe a half-updated round.
     pending_halt: Option<P::Output>,
     active: bool,
-    /// Set when the node rejoins after a crash (restart mode): its next
-    /// compute phase runs `init` — with the current round number — instead
-    /// of `round`, exactly like a node booting with reset state.
+    /// Set when the node reboots after a crash (restart mode) or a churn
+    /// departure: its next compute phase runs `init` — with the current
+    /// round number — instead of `round`, exactly like a node booting
+    /// with reset state.
     needs_init: bool,
+}
+
+/// One worker's share of a split compute phase: a run of the ascending
+/// active-id list, and the state rows of the id range it spans
+/// (`rows[0]` is node `base`'s).
+struct Piece<'a, P: Protocol> {
+    ids: &'a [u32],
+    rows: &'a mut [NodeState<P>],
+    base: usize,
 }
 
 /// Raw shared handle to one message plane: a flat array of packed payload
@@ -393,7 +417,7 @@ impl PlanePtr {
     /// The caller must guarantee that no other live reference (on this or
     /// any other thread) overlaps the row. The engine upholds this by only
     /// handing out rows keyed by node id — CSR rows of distinct nodes are
-    /// disjoint, and each node id occurs in exactly one `NodeSlot`.
+    /// disjoint, and each node id occurs once in the active-id list.
     // The `&self -> &mut` shape is the point of the type: exclusivity is
     // a caller obligation (see Safety), exactly like `UnsafeCell::get`.
     #[allow(clippy::mut_from_ref)]
@@ -525,8 +549,10 @@ fn take_bits(bitmap: &mut [u64], start: usize, len: usize) -> u64 {
     taken
 }
 
-/// The send plane and the *ring* of receive planes of a run, handed to
-/// the compute and delivery phases together.
+/// The read-only tables of a run through which both phases address a
+/// node, by id: the graph (CSR rows, mirror table, neighbour and edge
+/// ids), its global parameters, and the planes — the send plane with each
+/// node's occupancy start, and the *ring* of receive planes.
 ///
 /// Synchronous runs use a ring of one plane — exactly the two-plane
 /// engine the fingerprints pin. An [`AsyncScheduler`] with maximum delay
@@ -537,20 +563,50 @@ fn take_bits(bitmap: &mut [u64], start: usize, len: usize) -> u64 {
 /// phase of round `t` reads plane `t % len`, which the round loop clears
 /// before that round's delivery, so a plane is always drained before the
 /// ring cycles back onto it.
-struct Planes {
+struct Layout<'g> {
+    graph: &'g Graph,
+    globals: Globals,
     send: PlanePtr,
+    /// `occ_start[v]`: where node `v`'s occupancy words start in the send
+    /// plane's bitmap, after those of every smaller id; the row spans
+    /// `⌈degree / 64⌉` words.
+    occ_start: Vec<u32>,
     recv: Vec<PlanePtr>,
 }
 
-impl Planes {
+impl Layout<'_> {
+    /// Node `v`'s CSR row — equally its row in every plane — as (start,
+    /// degree).
+    #[inline]
+    fn row(&self, v: usize) -> (usize, usize) {
+        let offsets = self.graph.row_offsets();
+        let start = offsets[v] as usize;
+        (start, offsets[v + 1] as usize - start)
+    }
+
     /// The receive plane messages arriving in `arrival_round` land in.
     #[inline]
     fn recv_for(&self, arrival_round: usize) -> &PlanePtr {
         &self.recv[arrival_round % self.recv.len()]
     }
+
+    /// Clears the receive row `start..start + degree` in every plane of
+    /// the ring, returning how many messages it held: the crash and leave
+    /// wipes.
+    fn wipe(&self, start: usize, degree: usize) -> u64 {
+        self.recv
+            .iter()
+            .map(|plane| {
+                // SAFETY: called only from the round loop's sequential
+                // section — no worker holds any plane reference.
+                let occ = unsafe { plane.occ_all() };
+                take_bits(occ, start, degree)
+            })
+            .sum()
+    }
 }
 
-/// Read-only context the delivery phase needs besides the slots.
+/// Read-only context the delivery phase needs besides the [`Layout`].
 struct DeliverArgs<'a> {
     /// The receive plane of arrival round `round + 1`, picked once per
     /// round: every undelayed original lands there.
@@ -646,10 +702,8 @@ impl<'p> Batch<'p> {
     }
 }
 
-/// Per-chunk statistics accumulator for the delivery phase; merged into
-/// [`RunStats`] with commutative operations (sums and max), so parallel
-/// chunk order cannot change the result.
-#[derive(Default)]
+/// Per-worker statistics accumulator for the delivery phase.
+#[derive(Clone, Copy, Default)]
 struct Tally {
     total_messages: u64,
     max_message_bits: usize,
@@ -661,16 +715,39 @@ struct Tally {
     corrupted_messages: u64,
 }
 
-/// Minimum active slots *per worker* below which `run_parallel` steps and
+impl Tally {
+    /// Sums and a max: commutative and associative, so however a phase is
+    /// split between workers, their merged tallies are the sequential one.
+    fn merge(self, other: Tally) -> Tally {
+        Tally {
+            total_messages: self.total_messages + other.total_messages,
+            max_message_bits: self.max_message_bits.max(other.max_message_bits),
+            budget_violations: self.budget_violations + other.budget_violations,
+            dropped_messages: self.dropped_messages + other.dropped_messages,
+            adversary_dropped_messages: self.adversary_dropped_messages
+                + other.adversary_dropped_messages,
+            delayed_messages: self.delayed_messages + other.delayed_messages,
+            duplicated_messages: self.duplicated_messages + other.duplicated_messages,
+            corrupted_messages: self.corrupted_messages + other.corrupted_messages,
+        }
+    }
+
+    /// Adds one phase's tally to the run's statistics.
+    fn add_to(self, stats: &mut RunStats) {
+        stats.total_messages += self.total_messages;
+        stats.max_message_bits = stats.max_message_bits.max(self.max_message_bits);
+        stats.budget_violations += self.budget_violations;
+        stats.dropped_messages += self.dropped_messages;
+        stats.adversary_dropped_messages += self.adversary_dropped_messages;
+        stats.delayed_messages += self.delayed_messages;
+        stats.duplicated_messages += self.duplicated_messages;
+        stats.corrupted_messages += self.corrupted_messages;
+    }
+}
+
+/// Minimum active ids *per worker* below which `run_parallel` steps and
 /// delivers inline: spawning workers for a nearly-drained (or small) round
-/// costs more than the round. Scaling the cutoff by the worker count —
-/// rather than the old flat 256-slot threshold — is what fixed the n=1000
-/// `run_parallel` regression in `BENCH_engine.json`: on an 8-thread host a
-/// 1000-node round handed each worker only ~125 slots, and the
-/// spawn + per-chunk tally flush (8 atomics per chunk — cheap, but not
-/// free) cost more than stepping 1000 nodes inline. The per-chunk merge
-/// itself is sound and stays: one commutative flush per *chunk*, not per
-/// slot, is already the minimal synchronization.
+/// costs more than the round.
 const PAR_MIN_SLOTS_PER_WORKER: usize = 1024;
 
 /// Runs one [`Protocol`] instance per node of a graph.
@@ -701,20 +778,26 @@ const PAR_MIN_SLOTS_PER_WORKER: usize = 1024;
 /// # Memory discipline
 ///
 /// Every message plane (2·`m` packed payload words plus the occupancy
-/// bitmap — see [`plane_bytes_for`]), the slot table, and every other
-/// buffer of the round loop are allocated once, in `build`/`run`; the
-/// steady-state loop performs **zero engine-side heap allocations** (the
-/// traced path, which pushes [`MessageTrace`]s, is the documented
-/// small-graph exception). Halted nodes are swap-compacted out of the
-/// active prefix, so late rounds iterate only live slots.
+/// bitmap — see [`plane_bytes_for`]) and every other buffer of the round
+/// loop is allocated once, in `build`/`run`; the steady-state loop
+/// performs **zero engine-side heap allocations** (the traced path, which
+/// pushes [`MessageTrace`]s, is the documented small-graph exception).
+/// Per node, a run keeps only what changes while it runs — the protocol,
+/// its RNG, a halt latch and two flags, in one row indexed by id that
+/// never moves — plus a send-occupancy offset and an entry in an
+/// ascending list of active ids; a [`NodeInfo`] is built on the stack
+/// from the graph's CSR whenever the node steps. Every executor compacts
+/// the active list with a stable `retain` after each delivery phase, so
+/// late rounds iterate only live nodes.
 pub struct Engine<'g, P: Protocol> {
     graph: &'g Graph,
     config: SimConfig,
-    infos: Vec<NodeInfo<'g>>,
+    globals: Globals,
     nodes: Vec<P>,
-    /// Kept beyond `build` for the restart adversary, which re-instantiates
-    /// a rejoining node's protocol from scratch (self-stabilization:
-    /// restarted nodes boot with reset state, not a snapshot).
+    /// Kept beyond `build` for the restart and churn-join adversaries,
+    /// which re-instantiate a rebooting node's protocol from scratch
+    /// (self-stabilization: rebooted nodes boot with reset state, not a
+    /// snapshot).
     factory: Box<dyn FnMut(&NodeInfo<'g>) -> P + 'g>,
 }
 
@@ -722,10 +805,11 @@ impl<'g, P: Protocol> Engine<'g, P> {
     /// Creates an engine, instantiating the protocol at every node via
     /// `factory` (called in ascending node-id order).
     ///
-    /// Zero-copy: each [`NodeInfo`] borrows its per-port slices straight
-    /// out of the graph's CSR block, and the mirror-slot table was already
-    /// computed by the graph in `O(n + m)`, so building the engine
-    /// allocates `O(n)` — independent of the number of edges — and
+    /// Zero-copy: each [`NodeInfo`] handed to the factory is built on the
+    /// stack and borrows its per-port slices straight out of the graph's
+    /// CSR block, and the mirror-slot table was already computed by the
+    /// graph in `O(n + m)`, so building the engine allocates only the
+    /// protocol instances — independent of the number of edges — and
     /// parallel rounds share one read-only adjacency image.
     pub fn build(
         graph: &'g Graph,
@@ -738,28 +822,15 @@ impl<'g, P: Protocol> Engine<'g, P> {
         // compile error, not a runtime truncation.
         #[allow(clippy::let_unit_value)]
         let () = <P::Msg as PackedMsg>::BITS_OK;
-        let n = graph.num_nodes();
-        let max_degree = graph.max_degree();
-        let max_node_weight = graph.max_node_weight();
-        let max_edge_weight = graph.max_edge_weight();
-        let mut infos = Vec::with_capacity(n);
-        for v in graph.nodes() {
-            infos.push(NodeInfo {
-                id: v,
-                weight: graph.node_weight(v),
-                neighbor_ids: graph.neighbor_ids(v),
-                edge_weights: graph.port_edge_weights(v),
-                n,
-                max_degree,
-                max_node_weight,
-                max_edge_weight,
-            });
-        }
-        let nodes = infos.iter().map(&mut factory).collect();
+        let globals = Globals::of(graph);
+        let nodes = graph
+            .nodes()
+            .map(|v| factory(&globals.info(graph, v)))
+            .collect();
         Engine {
             graph,
             config,
-            infos,
+            globals,
             nodes,
             factory: Box::new(factory),
         }
@@ -803,40 +874,24 @@ impl<'g, P: Protocol> Engine<'g, P> {
             );
         }
         self.config.validate();
-        let max_degree = graph.max_degree();
-        let max_node_weight = graph.max_node_weight();
-        let max_edge_weight = graph.max_edge_weight();
-        let mut infos = Vec::with_capacity(n);
-        for v in graph.nodes() {
-            infos.push(NodeInfo {
-                id: v,
-                weight: graph.node_weight(v),
-                neighbor_ids: graph.neighbor_ids(v),
-                edge_weights: graph.port_edge_weights(v),
-                n,
-                max_degree,
-                max_node_weight,
-                max_edge_weight,
-            });
-        }
+        let globals = Globals::of(graph);
         let mut reset = vec![false; n];
         for &v in deltas.joined.iter().chain(&deltas.left) {
             reset[v.index()] = true;
         }
         let mut factory = self.factory;
         let mut old_nodes = self.nodes.into_iter();
-        let mut nodes = Vec::with_capacity(n);
-        for (v, info) in infos.iter().enumerate() {
-            let survivor = old_nodes.next();
-            match survivor {
-                Some(proto) if v < old_n && !reset[v] => nodes.push(proto),
-                _ => nodes.push(factory(info)),
-            }
-        }
+        let nodes = graph
+            .nodes()
+            .map(|v| match old_nodes.next() {
+                Some(proto) if v.index() < old_n && !reset[v.index()] => proto,
+                _ => factory(&globals.info(graph, v)),
+            })
+            .collect();
         Engine {
             graph,
             config: self.config,
-            infos,
+            globals,
             nodes,
             factory,
         }
@@ -847,52 +902,57 @@ impl<'g, P: Protocol> Engine<'g, P> {
     pub fn run(self, seed: u64) -> RunOutcome<P::Output> {
         self.run_with(
             seed,
-            true,
-            |slots, round, planes| Self::step_all(slots, round, planes),
-            |slots, planes, args| {
+            |ids, rows, round, layout| Self::step_all(ids, rows, 0, round, layout),
+            |ids, layout, args| {
                 // SAFETY: `run` delivers every phase on this one thread.
-                unsafe { Self::deliver_all(slots, planes, args, BitSet::Plain, |_, _, _| {}) }
+                unsafe { Self::deliver_all(ids, layout, args, BitSet::Plain, |_, _, _| {}) }
             },
         )
     }
 
-    /// Sequential compute phase over `slots`; shared by [`run`](Self::run)
-    /// and `run_parallel`'s small-active-set inline fallback so the two
-    /// cannot diverge.
-    fn step_all(slots: &mut [NodeSlot<'g, P>], round: usize, planes: &Planes) {
-        for slot in slots.iter_mut() {
-            Self::step(slot, round, planes);
+    /// Compute phase over the active ids `ids`, whose state rows are
+    /// `rows` from node `base`'s on: a whole phase (`base` 0), or one
+    /// worker's piece of it.
+    fn step_all(
+        ids: &[u32],
+        rows: &mut [NodeState<P>],
+        base: usize,
+        round: usize,
+        layout: &Layout<'g>,
+    ) {
+        for &v in ids {
+            Self::step(&mut rows[v as usize - base], v, round, layout);
         }
     }
 
-    /// Delivery over `slots` by one worker, the sole entry to the
-    /// delivery kernel for every executor. `on_message(from, to, bits)`
-    /// runs once per message before its drop decision — the trace and
-    /// cross-shard hook; the other paths pass a no-op closure that
+    /// Delivery from the senders `ids` by one worker, the sole entry to
+    /// the delivery kernel for every executor. `on_message(from, to,
+    /// bits)` runs once per message before its drop decision — the trace
+    /// and cross-shard hook; the other paths pass a no-op closure that
     /// monomorphizes away.
     ///
     /// # Safety
     /// With `mode` = [`BitSet::Plain`], no other thread may deliver into
-    /// `planes` while this call runs: the caller delivers the whole phase.
-    /// [`BitSet::Atomic`] is sound under any concurrency.
+    /// the planes while this call runs: the caller delivers the whole
+    /// phase. [`BitSet::Atomic`] is sound under any concurrency.
     unsafe fn deliver_all<'p>(
-        slots: &[NodeSlot<'g, P>],
-        planes: &'p Planes,
+        ids: &[u32],
+        layout: &'p Layout<'g>,
         args: &DeliverArgs<'p>,
         mode: BitSet,
         mut on_message: impl FnMut(NodeId, NodeId, usize),
     ) -> Tally {
         let mut tally = Tally::default();
         let mut batch = Batch::new(args.next, mode);
-        for slot in slots.iter() {
-            Self::deliver_slot(slot, planes, args, &mut batch, &mut tally, &mut on_message);
+        for &v in ids {
+            Self::deliver_node(v, layout, args, &mut batch, &mut tally, &mut on_message);
         }
         tally
     }
 
     /// Like [`run`](Engine::run), but executes each round's compute *and*
-    /// delivery phases on all hardware threads, chunking over the
-    /// compacted active slot prefix (halted nodes cost nothing).
+    /// delivery phases on all hardware threads, splitting the ascending
+    /// active-id list into equal pieces (halted nodes cost nothing).
     ///
     /// Outputs, statistics, and traces are bit-identical to the
     /// sequential path for the same `seed`: every node steps against its
@@ -930,75 +990,13 @@ impl<'g, P: Protocol> Engine<'g, P> {
             return self.run(seed);
         }
         let inline_below = threads.saturating_mul(PAR_MIN_SLOTS_PER_WORKER);
-        self.run_with(
-            seed,
-            true,
-            move |slots, round, planes| {
-                if slots.len() < inline_below {
-                    Self::step_all(slots, round, planes);
-                    return;
-                }
-                let chunk = slots.len().div_ceil(threads).max(1);
-                slots
-                    .par_chunks_mut(chunk)
-                    .for_each_with_workers(threads, |chunk| {
-                        Self::step_all(chunk, round, planes);
-                    });
-            },
-            move |slots, planes, args| {
-                if slots.len() < inline_below {
-                    // SAFETY: below the cutoff no worker is spawned; this
-                    // thread delivers the whole phase.
-                    return unsafe {
-                        Self::deliver_all(slots, planes, args, BitSet::Plain, |_, _, _| {})
-                    };
-                }
-                let total_messages = AtomicU64::new(0);
-                let max_message_bits = AtomicUsize::new(0);
-                let budget_violations = AtomicU64::new(0);
-                let dropped_messages = AtomicU64::new(0);
-                let adversary_dropped = AtomicU64::new(0);
-                let delayed_messages = AtomicU64::new(0);
-                let duplicated_messages = AtomicU64::new(0);
-                let corrupted_messages = AtomicU64::new(0);
-                let chunk = slots.len().div_ceil(threads).max(1);
-                slots
-                    .par_chunks_mut(chunk)
-                    .for_each_with_workers(threads, |chunk| {
-                        // SAFETY: atomic bit sets, as several workers
-                        // deliver this phase.
-                        let tally = unsafe {
-                            Self::deliver_all(chunk, planes, args, BitSet::Atomic, |_, _, _| {})
-                        };
-                        // One commutative flush per chunk; sums and max cannot
-                        // observe merge order, so stats stay bit-identical to
-                        // the sequential path.
-                        total_messages.fetch_add(tally.total_messages, Ordering::Relaxed);
-                        max_message_bits.fetch_max(tally.max_message_bits, Ordering::Relaxed);
-                        budget_violations.fetch_add(tally.budget_violations, Ordering::Relaxed);
-                        dropped_messages.fetch_add(tally.dropped_messages, Ordering::Relaxed);
-                        adversary_dropped
-                            .fetch_add(tally.adversary_dropped_messages, Ordering::Relaxed);
-                        delayed_messages.fetch_add(tally.delayed_messages, Ordering::Relaxed);
-                        duplicated_messages.fetch_add(tally.duplicated_messages, Ordering::Relaxed);
-                        corrupted_messages.fetch_add(tally.corrupted_messages, Ordering::Relaxed);
-                    });
-                Tally {
-                    total_messages: total_messages.into_inner(),
-                    max_message_bits: max_message_bits.into_inner(),
-                    budget_violations: budget_violations.into_inner(),
-                    dropped_messages: dropped_messages.into_inner(),
-                    adversary_dropped_messages: adversary_dropped.into_inner(),
-                    delayed_messages: delayed_messages.into_inner(),
-                    duplicated_messages: duplicated_messages.into_inner(),
-                    corrupted_messages: corrupted_messages.into_inner(),
-                }
-            },
-        )
+        let equal = |ids: &[u32], k: usize| k * ids.len() / threads;
+        self.run_split(seed, threads, inline_below, equal, |_, _| false)
+            .0
     }
 
     /// Shard-partitioned executor for the matching-as-a-service façade:
-    /// each shard's contiguous slot range is stepped and delivered by its
+    /// each shard's contiguous id range is stepped and delivered by its
     /// own worker thread, and every message crossing a shard boundary is
     /// metered as coordinator↔worker traffic (the Huang–Radunovic–
     /// Vojnovic–Zhang communication model: cross-shard edges *are* the
@@ -1010,10 +1008,11 @@ impl<'g, P: Protocol> Engine<'g, P> {
     /// partition: nodes step against private RNGs and disjoint plane
     /// rows, delivery writes each directed edge's unique cell, and
     /// tallies merge commutatively — the run ≡ run_parallel contract
-    /// extended with a third executor. Compaction is disabled so slot
-    /// index == node id for the whole run, keeping partition ranges
-    /// aligned with slot chunks; the cross-shard meter is kept out of
-    /// [`RunStats`] so stats equality across executors stays exact.
+    /// extended with a third executor. Each phase splits the ascending
+    /// active-id list at the partition boundaries, so halted nodes drop
+    /// out of every shard as they do in [`run`](Self::run); the
+    /// cross-shard meter is kept out of [`RunStats`] so stats equality
+    /// across executors stays exact.
     ///
     /// # Panics
     /// Panics if `partition` does not cover exactly the graph's slots.
@@ -1040,140 +1039,157 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 cross_shard_messages: 0,
             };
         }
-        let cross_messages = AtomicU64::new(0);
-        let outcome = self.run_with(
+        // Never inline (cutoff 0), so every message is metered against
+        // its sender's shard. The whole piece belongs to shard `s`, so
+        // only the receiver's side needs a lookup.
+        let (outcome, cross_shard_messages) = self.run_split(
             seed,
-            false,
-            |slots, round, planes| {
-                // Compaction is off: `slots` is the full table and slot
-                // index == node id, so splitting at partition boundaries
-                // hands each worker exactly its shard's nodes.
-                std::thread::scope(|scope| {
-                    let mut rest = slots;
-                    let mut offset = 0;
-                    for s in 0..shards {
-                        let end = partition.range(s).end;
-                        let (chunk, tail) = rest.split_at_mut(end - offset);
-                        offset = end;
-                        rest = tail;
-                        if !chunk.is_empty() {
-                            scope.spawn(move || Self::step_all(chunk, round, planes));
-                        }
-                    }
-                });
-            },
-            |slots, planes, args| {
-                let mut tallies: Vec<(Tally, u64)> = Vec::with_capacity(shards);
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(shards);
-                    // `&mut` chunks (like `par_chunks_mut` in the parallel
-                    // executor) so only `P: Send` is required of protocols.
-                    let mut rest = slots;
-                    let mut offset = 0;
-                    for s in 0..shards {
-                        let end = partition.range(s).end;
-                        let (chunk, tail) = rest.split_at_mut(end - offset);
-                        offset = end;
-                        rest = tail;
-                        handles.push(scope.spawn(move || {
-                            let mut cross = 0u64;
-                            // SAFETY: atomic bit sets, as every shard's
-                            // worker delivers this phase.
-                            let tally = unsafe {
-                                Self::deliver_all(
-                                    chunk,
-                                    planes,
-                                    args,
-                                    BitSet::Atomic,
-                                    |_, to, _| {
-                                        // The whole chunk belongs to shard `s`,
-                                        // so only the receiver's side needs a
-                                        // lookup.
-                                        if partition.shard_of(to) != s {
-                                            cross += 1;
-                                        }
-                                    },
-                                )
-                            };
-                            (tally, cross)
-                        }));
-                    }
-                    for h in handles {
-                        tallies.push(h.join().expect("shard delivery worker panicked"));
-                    }
-                });
-                // Merge in shard order — sums and max are commutative, so
-                // the totals are bit-identical to the sequential tally.
-                let mut merged = Tally::default();
-                for (t, cross) in tallies {
-                    merged.total_messages += t.total_messages;
-                    merged.max_message_bits = merged.max_message_bits.max(t.max_message_bits);
-                    merged.budget_violations += t.budget_violations;
-                    merged.dropped_messages += t.dropped_messages;
-                    merged.adversary_dropped_messages += t.adversary_dropped_messages;
-                    merged.delayed_messages += t.delayed_messages;
-                    merged.duplicated_messages += t.duplicated_messages;
-                    merged.corrupted_messages += t.corrupted_messages;
-                    cross_messages.fetch_add(cross, Ordering::Relaxed);
-                }
-                merged
-            },
+            shards,
+            0,
+            |ids, s| ids.partition_point(|&v| (v as usize) < partition.range(s).start),
+            |s, to| partition.shard_of(to) != s,
         );
         ShardedRun {
             outcome,
             shards,
             cross_shard_edges,
-            cross_shard_messages: cross_messages.into_inner(),
+            cross_shard_messages,
         }
     }
 
+    /// The multi-worker executor behind `run_parallel_with` and
+    /// `run_sharded`: each phase cuts the active-id list into `pieces`
+    /// runs, piece `k` starting at position `cut(ids, k)`, and runs every
+    /// non-empty one on its own scoped thread — or, below `inline_below`
+    /// active ids, the whole phase on this thread, unmetered. Also returns
+    /// how many messages `crosses(k, receiver)` flagged for a sender in
+    /// piece `k`.
+    fn run_split(
+        self,
+        seed: u64,
+        pieces: usize,
+        inline_below: usize,
+        cut: impl Fn(&[u32], usize) -> usize,
+        crosses: impl Fn(usize, NodeId) -> bool + Sync,
+    ) -> (RunOutcome<P::Output>, u64)
+    where
+        P: Send,
+        P::Output: Send,
+    {
+        let cuts = |ids: &[u32]| -> Vec<usize> {
+            (0..pieces)
+                .map(|k| cut(ids, k))
+                .chain(std::iter::once(ids.len()))
+                .collect()
+        };
+        let crossed = AtomicU64::new(0);
+        let outcome = self.run_with(
+            seed,
+            |ids, rows, round, layout| {
+                if ids.len() < inline_below {
+                    return Self::step_all(ids, rows, 0, round, layout);
+                }
+                let pieces = Self::pieces(ids, rows, &cuts(ids));
+                std::thread::scope(|scope| {
+                    for p in pieces {
+                        scope.spawn(move || Self::step_all(p.ids, p.rows, p.base, round, layout));
+                    }
+                });
+            },
+            |ids, layout, args| {
+                if ids.len() < inline_below {
+                    // SAFETY: below the cutoff no worker is spawned; this
+                    // thread delivers the whole phase.
+                    return unsafe {
+                        Self::deliver_all(ids, layout, args, BitSet::Plain, |_, _, _| {})
+                    };
+                }
+                let mut done = vec![(Tally::default(), 0u64); pieces];
+                let crosses = &crosses;
+                std::thread::scope(|scope| {
+                    for (k, (out, w)) in done.iter_mut().zip(cuts(ids).windows(2)).enumerate() {
+                        let ids = &ids[w[0]..w[1]];
+                        if ids.is_empty() {
+                            continue;
+                        }
+                        scope.spawn(move || {
+                            let mut cross = 0;
+                            // SAFETY: atomic bit sets, as several workers
+                            // deliver this phase.
+                            let tally = unsafe {
+                                Self::deliver_all(ids, layout, args, BitSet::Atomic, |_, to, _| {
+                                    cross += u64::from(crosses(k, to));
+                                })
+                            };
+                            *out = (tally, cross);
+                        });
+                    }
+                });
+                let (tally, cross) = done
+                    .into_iter()
+                    .fold(Default::default(), |(a, x): (Tally, u64), (b, y)| {
+                        (a.merge(b), x + y)
+                    });
+                crossed.fetch_add(cross, Ordering::Relaxed);
+                tally
+            },
+        );
+        (outcome, crossed.into_inner())
+    }
+
+    /// Cuts the active list at the positions `cuts` (ascending, from 0 to
+    /// `ids.len()`) into one [`Piece`] per non-empty run. A run's ids
+    /// ascend, so its state rows are the one contiguous range from its
+    /// first id to its last, taken with `split_at_mut`.
+    fn pieces<'a>(
+        ids: &'a [u32],
+        rows: &'a mut [NodeState<P>],
+        cuts: &[usize],
+    ) -> Vec<Piece<'a, P>> {
+        let mut pieces = Vec::with_capacity(cuts.len());
+        let (mut rest, mut base) = (rows, 0);
+        for w in cuts.windows(2) {
+            let ids = &ids[w[0]..w[1]];
+            let (Some(&first), Some(&last)) = (ids.first(), ids.last()) else {
+                continue;
+            };
+            let (first, end) = (first as usize, last as usize + 1);
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(first - base);
+            let (rows, tail) = tail.split_at_mut(end - first);
+            pieces.push(Piece {
+                ids,
+                rows,
+                base: first,
+            });
+            (rest, base) = (tail, end);
+        }
+        pieces
+    }
+
     /// Shared run loop; `compute` executes one round's compute phase over
-    /// the active slots (round 0 is `init`), `deliver` scatters their
+    /// the active ids (round 0 is `init`), `deliver` scatters their
     /// send-plane rows (untraced runs only — tracing uses the sequential
-    /// ascending-id path so trace order is reproducible).
-    ///
-    /// `allow_compact` lets the caller veto active-prefix compaction even
-    /// when tracing/restart/churn would permit it: the sharded executor
-    /// needs slot index == node id for the whole run so partition ranges
-    /// stay aligned with slot chunks.
+    /// path so trace order is reproducible).
     fn run_with(
         self,
         seed: u64,
-        allow_compact: bool,
-        compute: impl Fn(&mut [NodeSlot<'g, P>], usize, &Planes),
-        deliver: impl Fn(&mut [NodeSlot<'g, P>], &Planes, &DeliverArgs<'_>) -> Tally,
+        compute: impl Fn(&[u32], &mut [NodeState<P>], usize, &Layout<'g>),
+        deliver: impl Fn(&[u32], &Layout<'g>, &DeliverArgs<'_>) -> Tally,
     ) -> RunOutcome<P::Output> {
-        let n = self.graph.num_nodes();
-        let graph = self.graph;
-        let config = self.config;
-        let mut factory = self.factory;
-        let row_offsets = graph.row_offsets();
+        let (graph, config) = (self.graph, self.config);
+        let n = graph.num_nodes();
         // Send-plane occupancy rows, word-aligned: node `v`'s bits live in
-        // `⌈degree / 64⌉` words of its own, laid out in id order (slots are
-        // built in id order), so no two nodes ever share a send occupancy
-        // word and the compute phase can hold plain `&mut` rows.
+        // `⌈degree / 64⌉` words of its own, laid out in id order, so no
+        // two nodes ever share a send occupancy word and the compute phase
+        // can hold plain `&mut` rows.
         let mut send_occ_len: u32 = 0;
-        let mut slots: Vec<NodeSlot<'g, P>> = self
-            .nodes
-            .into_iter()
-            .zip(self.infos)
-            .map(|(proto, info)| {
-                let v = info.id.index();
-                let row = row_offsets[v] as usize..row_offsets[v + 1] as usize;
-                let occ_start = send_occ_len;
-                send_occ_len += row.len().div_ceil(64) as u32;
-                NodeSlot {
-                    rng: node_rng(seed, info.id),
-                    proto,
-                    mirror: &graph.mirror()[row.clone()],
-                    neighbor_edges: graph.neighbor_edges(info.id),
-                    row_start: row.start as u32,
-                    occ_start,
-                    info,
-                    pending_halt: None,
-                    active: true,
-                    needs_init: false,
-                }
+        let occ_start: Vec<u32> = graph
+            .row_offsets()
+            .windows(2)
+            .map(|w| {
+                let start = send_occ_len;
+                send_occ_len += (w[1] - w[0]).div_ceil(64);
+                start
             })
             .collect();
         // Fault machinery, pre-filtered so the fault-free loop tests one
@@ -1183,9 +1199,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let adversary = config.adversary.filter(Adversary::is_active);
         let scheduler = config.scheduler.filter(|s| s.max_delay() > 0);
         let dup_on = adversary.is_some_and(|a| a.dup_prob > 0.0);
-        let restart_after = adversary
-            .filter(|a| a.crash_prob > 0.0)
-            .and_then(|a| a.restart_after);
+        let crash = adversary.filter(|a| a.crash_prob > 0.0);
+        let restart_after = crash.and_then(|a| a.restart_after);
         // Topology churn: a link-state bitmap over undirected edge ids
         // (flips toggle bits; delivery consults it per message) and a
         // departed set for node leaves/joins. All allocated only when the
@@ -1194,11 +1209,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let flips_on = churn.is_some_and(|a| a.edge_flip_prob > 0.0);
         let joins_on = churn.is_some_and(|a| a.node_join_prob > 0.0);
         let leaves_on = churn.is_some_and(|a| a.node_leave_prob > 0.0);
-        let mut edge_down: Vec<u64> = if flips_on {
-            vec![0u64; graph.num_edges().div_ceil(64)]
-        } else {
-            Vec::new()
-        };
+        let mut edge_down = flips_on.then(|| vec![0u64; graph.num_edges().div_ceil(64)]);
         let mut departed: Vec<bool> = if leaves_on {
             vec![false; n]
         } else {
@@ -1211,7 +1222,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
         // `round + 1 + max_delay` (+1 more for duplicate copies, which
         // trail their originals by a round).
         let ring_len = scheduler.map_or(0, |s| s.max_delay()) + 1 + usize::from(dup_on);
-        let plane_len = row_offsets[n] as usize;
+        let plane_len = graph.row_offsets()[n] as usize;
         // Dense word storage: one allocation per plane, 8 payload bytes
         // per directed edge followed by the occupancy bitmap (see
         // [`plane_bytes_for`]), zeroed in one memset — no per-cell
@@ -1224,7 +1235,10 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let mut recv: Vec<Vec<u64>> = (0..ring_len)
             .map(|_| vec![0u64; plane_len + plane_len.div_ceil(64)])
             .collect();
-        let planes = Planes {
+        let layout = Layout {
+            graph,
+            globals: self.globals,
+            occ_start,
             send: PlanePtr::new(&mut send, plane_len),
             recv: recv
                 .iter_mut()
@@ -1232,92 +1246,74 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 .collect(),
         };
         let reorder = adversary.filter(|a| a.reorder_prob > 0.0);
-        let mut outputs: Vec<Option<P::Output>> = vec![None; n];
-        let mut alive = vec![true; n];
-        let mut active_count = n;
-        // Slots `0..active_len` are the (compacted) active prefix; tracing
-        // disables compaction so delivery can walk ascending node ids,
-        // and restart mode and node churn disable it so a rejoining node
-        // can be found at slot index == node id.
-        let compact =
-            allow_compact && !config.record_traces && restart_after.is_none() && churn.is_none();
-        let mut active_len = n;
-        let mut stats = RunStats::default();
-        let mut traces = Vec::new();
+        let mut run = RunState {
+            rows: self
+                .nodes
+                .into_iter()
+                .enumerate()
+                .map(|(v, proto)| NodeState {
+                    proto,
+                    rng: node_rng(seed, NodeId(v as u32)),
+                    pending_halt: None,
+                    active: true,
+                    needs_init: false,
+                })
+                .collect(),
+            ids: (0..n as u32).collect(),
+            alive: vec![true; n],
+            outputs: vec![None; n],
+            stats: RunStats::default(),
+            traces: Vec::new(),
+            seed,
+            factory: self.factory,
+        };
         // Crashed nodes awaiting their restart round, in due-round order
         // (crashes are discovered in ascending rounds, so plain FIFO
         // pushes keep the queue monotone).
         let mut restart_queue: VecDeque<(usize, u32)> = VecDeque::new();
 
         // Round 0: init (no inboxes yet, halting is not possible).
-        compute(&mut slots[..active_len], 0, &planes);
-        active_len = Self::delivery_phase(
-            &config,
-            &mut slots,
-            active_len,
-            compact,
-            &planes,
-            &mut alive,
-            flips_on.then_some(&edge_down).map(Vec::as_slice),
-            &mut outputs,
-            &mut active_count,
-            &mut stats,
-            &mut traces,
-            0,
-            &deliver,
-        );
+        compute(&run.ids, &mut run.rows, 0, &layout);
+        run.delivery_phase(&config, &layout, edge_down.as_deref(), 0, &deliver);
 
-        while (active_count > 0 || !restart_queue.is_empty() || (joins_on && departed_count > 0))
-            && stats.rounds < config.max_rounds
+        // Between rounds the active list holds exactly the live nodes.
+        while (!run.ids.is_empty() || !restart_queue.is_empty() || (joins_on && departed_count > 0))
+            && run.stats.rounds < config.max_rounds
         {
-            stats.rounds += 1;
-            let round = stats.rounds;
+            run.stats.rounds += 1;
+            let round = run.stats.rounds;
             // Self-stabilization: crashed nodes whose downtime has elapsed
-            // rejoin *before* this round's crash coins, with factory-fresh
-            // protocol state and a fresh RNG stream (keyed by the rejoin
-            // round, so a node crashing twice gets two distinct streams).
-            // Compaction is off in restart mode, so slot index == node id.
-            while let Some(&(due, v)) = restart_queue.front() {
-                if due > round {
-                    break;
-                }
-                restart_queue.pop_front();
-                let slot = &mut slots[v as usize];
-                let info = slot.info;
-                slot.proto = factory(&info);
-                slot.rng = node_rng(
-                    phase_seed(seed, RESTART_STREAM_SALT.wrapping_add(round as u64)),
-                    info.id,
-                );
-                slot.pending_halt = None;
-                slot.needs_init = true;
-                slot.active = true;
-                alive[v as usize] = true;
-                active_count += 1;
-                stats.restarted_nodes += 1;
+            // rejoin *before* this round's crash coins, so the coins see
+            // them as live.
+            let due = restart_queue
+                .iter()
+                .take_while(|&&(at, _)| at <= round)
+                .count();
+            for (_, v) in restart_queue.drain(..due) {
+                run.reboot(v as usize, &layout, RESTART_STREAM_SALT, round);
+            }
+            if due > 0 {
+                run.stats.restarted_nodes += due as u64;
+                run.relist();
             }
             // Crash adversary: decided before the compute phase, per node,
             // by a coin pure in (round, id) — so the schedule cannot
-            // depend on slot order, compaction, or parallel chunking. A
-            // crashed node is inert from this round on: it neither
-            // computes nor sends, produces no output, and `alive` makes
-            // delivery drop everything addressed to it — until its restart
-            // round, if the adversary grants one. (Rounds ≥ 1 only: every
-            // node is guaranteed its first `init`.)
-            if let Some(adv) = adversary.filter(|a| a.crash_prob > 0.0) {
-                for slot in slots[..active_len].iter_mut() {
-                    if slot.active && adv.crashes(round, slot.info.id) {
-                        slot.active = false;
-                        alive[slot.info.id.index()] = false;
-                        active_count -= 1;
-                        stats.crashed_nodes += 1;
+            // depend on processing order or parallel splits. A crashed
+            // node is inert from this round on: it neither computes nor
+            // sends, produces no output, and `alive` makes delivery drop
+            // everything addressed to it — until its restart round, if the
+            // adversary grants one. Without restarts its inbox is never
+            // read again, so it is left unwiped: stragglers already
+            // delivered stay delivered. (Rounds ≥ 1 only: every node is
+            // guaranteed its first `init`.)
+            if let Some(adv) = crash {
+                for i in 0..run.ids.len() {
+                    let v = run.ids[i] as usize;
+                    if run.rows[v].active && adv.crashes(round, NodeId(v as u32)) {
+                        run.depart(v, &layout, restart_after.is_some());
+                        run.stats.crashed_nodes += 1;
                         if let Some(k) = restart_after {
-                            restart_queue.push_back((round + k, slot.info.id.0));
-                            // Wipe the node's in-flight arrivals across the
-                            // whole ring: a restarted node boots with an
-                            // empty inbox, and pre-crash stragglers count
-                            // as lost to the crash.
-                            stats.dropped_messages += Self::wipe_inbox(slot, &planes);
+                            restart_queue.push_back((round + k, v as u32));
                         }
                     }
                 }
@@ -1325,120 +1321,85 @@ impl<'g, P: Protocol> Engine<'g, P> {
             // Topology churn, in the same sequential section as crashes,
             // by coins pure in (round, id): joins first (mirroring
             // restarts: a node can rejoin before this round's leave coins
-            // fire), then leaves, then edge flips. Compaction is off
-            // whenever churn is on, so slot index == node id.
+            // fire), then leaves, then edge flips.
             if let Some(adv) = churn {
                 if joins_on && departed_count > 0 {
-                    for v in 0..n {
-                        if !departed[v] || !adv.rejoins(round, NodeId(v as u32)) {
+                    for (v, gone) in departed.iter_mut().enumerate() {
+                        if !*gone || !adv.rejoins(round, NodeId(v as u32)) {
                             continue;
                         }
-                        departed[v] = false;
+                        *gone = false;
                         departed_count -= 1;
-                        let slot = &mut slots[v];
-                        let info = slot.info;
-                        slot.proto = factory(&info);
-                        slot.rng = node_rng(
-                            phase_seed(seed, CHURN_STREAM_SALT.wrapping_add(round as u64)),
-                            info.id,
-                        );
-                        slot.pending_halt = None;
-                        slot.needs_init = true;
-                        slot.active = true;
-                        alive[v] = true;
-                        active_count += 1;
-                        stats.nodes_joined += 1;
+                        run.reboot(v, &layout, CHURN_STREAM_SALT, round);
+                        run.stats.nodes_joined += 1;
                     }
+                    // As cheap as the O(n) coin scan above.
+                    run.relist();
                 }
                 if leaves_on {
-                    for slot in slots[..active_len].iter_mut() {
-                        if !slot.active || !adv.leaves(round, slot.info.id) {
-                            continue;
+                    for i in 0..run.ids.len() {
+                        let v = run.ids[i] as usize;
+                        if run.rows[v].active && adv.leaves(round, NodeId(v as u32)) {
+                            run.depart(v, &layout, true);
+                            departed[v] = true;
+                            departed_count += 1;
+                            run.stats.nodes_left += 1;
                         }
-                        let v = slot.info.id.index();
-                        slot.active = false;
-                        alive[v] = false;
-                        active_count -= 1;
-                        departed[v] = true;
-                        departed_count += 1;
-                        stats.nodes_left += 1;
-                        // Wipe the node's in-flight arrivals across the
-                        // ring, as at a crash: a rejoining node boots
-                        // with an empty inbox, and pre-departure
-                        // stragglers count as lost to the churn.
-                        stats.dropped_messages += Self::wipe_inbox(slot, &planes);
                     }
                 }
-                if flips_on {
+                if let Some(down) = edge_down.as_mut() {
                     // O(m) coin scan; each toggle moves the undirected
                     // edge between up and down, and both directed views
                     // share the bit.
                     for e in graph.edges() {
                         let (u, v) = graph.endpoints(e);
                         if adv.flips_edge(round, u, v) {
-                            edge_down[e.index() / 64] ^= 1 << (e.index() % 64);
-                            stats.edges_flipped += 1;
+                            down[e.index() / 64] ^= 1 << (e.index() % 64);
+                            run.stats.edges_flipped += 1;
                         }
                     }
                 }
             }
             if let Some(adv) = reorder {
-                Self::reorder_inboxes(&slots[..active_len], round, &planes, adv);
+                Self::reorder_inboxes(&run.ids, &run.rows, round, &layout, adv);
             }
-            compute(&mut slots[..active_len], round, &planes);
-            active_len = Self::delivery_phase(
-                &config,
-                &mut slots,
-                active_len,
-                compact,
-                &planes,
-                &mut alive,
-                flips_on.then_some(&edge_down).map(Vec::as_slice),
-                &mut outputs,
-                &mut active_count,
-                &mut stats,
-                &mut traces,
-                round,
-                &deliver,
-            );
+            compute(&run.ids, &mut run.rows, round, &layout);
+            run.delivery_phase(&config, &layout, edge_down.as_deref(), round, &deliver);
         }
 
         RunOutcome {
-            // Complete ⇔ every node halted with an output. (Equivalent to
-            // the historical `active_count == 0 && crashed_nodes == 0` in
-            // crash-stop mode — only halting clears `active` with an
-            // output — but also correct in restart mode, where a crashed
-            // node can rejoin and still halt.)
-            completed: outputs.iter().all(Option::is_some),
-            outputs,
-            stats,
-            traces,
+            // Complete ⇔ every node halted with an output (in restart
+            // mode a crashed node can rejoin and still halt).
+            completed: run.outputs.iter().all(Option::is_some),
+            outputs: run.outputs,
+            stats: run.stats,
+            traces: run.traces,
         }
     }
 
-    /// Compute phase for one node: run `init` (round 0) or `round` against
+    /// Compute phase for node `v`: run `init` (round 0) or `round` against
     /// the node's receive-plane row, writing sends into its send-plane row,
-    /// and stash any halt decision in [`NodeSlot::pending_halt`]. Touches
-    /// nothing outside the slot and its two plane rows, and only reads the
-    /// receive row; the round loop clears the consumed receive bitmap
-    /// before delivery.
-    fn step(slot: &mut NodeSlot<'g, P>, round: usize, planes: &Planes) {
-        if !slot.active {
+    /// and stash any halt decision in [`NodeState::pending_halt`]. Touches
+    /// nothing outside `state` and the node's two plane rows, and only
+    /// reads the receive row; the round loop clears the consumed receive
+    /// bitmap before delivery.
+    fn step(state: &mut NodeState<P>, v: u32, round: usize, layout: &Layout<'g>) {
+        if !state.active {
             return;
         }
-        let start = slot.row_start as usize;
-        let occ_start = slot.occ_start as usize;
-        let degree = slot.info.degree();
+        let info = layout.globals.info(layout.graph, NodeId(v));
+        let (start, degree) = layout.row(v as usize);
+        let occ_start = layout.occ_start[v as usize] as usize;
         let occ_words = degree.div_ceil(64);
-        // SAFETY: each node id occurs in exactly one slot and CSR rows of
-        // distinct nodes are disjoint (send occupancy rows are word-aligned
-        // per node), so these are the only live references to the rows
-        // (the compute phase hands each slot to exactly one worker, and no
-        // delivery runs concurrently).
-        let send_words = unsafe { planes.send.words_row(start, degree) };
+        // SAFETY: the active list holds each node id once, each id goes to
+        // exactly one worker (pieces are disjoint runs of the list), and
+        // CSR rows of distinct nodes are disjoint (send occupancy rows are
+        // word-aligned per node), so these are the only live references to
+        // the rows; no delivery runs concurrently.
+        let send_words = unsafe { layout.send.words_row(start, degree) };
         // SAFETY: same row disjointness, on the word-aligned occupancy row.
-        let send_occ = unsafe { planes.send.occ_row(occ_start, occ_words) };
-        let recv_plane = planes.recv_for(round);
+        let send_occ = unsafe { layout.send.occ_row(occ_start, occ_words) };
+        let recv_plane = layout.recv_for(round);
         // SAFETY: same row-disjointness argument, on this round's receive
         // plane (ring position `round % len`; delivery never writes the
         // current round's plane while the compute phase runs).
@@ -1448,32 +1409,24 @@ impl<'g, P: Protocol> Engine<'g, P> {
         // phase), so shared views of words that neighbouring rows also
         // read are sound.
         let recv_occ = unsafe { recv_plane.occ_view(start, degree) };
-        let NodeSlot {
-            proto,
-            info,
-            rng,
-            pending_halt,
-            needs_init,
-            ..
-        } = slot;
         let mut ctx = Context {
-            info,
-            rng,
+            info: &info,
+            rng: &mut state.rng,
             round,
             out_words: send_words,
             out_occ: send_occ,
             _msg: std::marker::PhantomData,
         };
-        if round == 0 || *needs_init {
-            // Round 0, or the node is rejoining after a crash (restart
-            // mode): boot with reset state. Stragglers were wiped at crash
-            // time, so the inbox is empty either way.
-            *needs_init = false;
-            proto.init(&mut ctx);
+        if round == 0 || state.needs_init {
+            // Round 0, or the node is rebooting after a crash or a churn
+            // departure: boot with reset state. Stragglers were wiped when
+            // it departed, so the inbox is empty either way.
+            state.needs_init = false;
+            state.proto.init(&mut ctx);
         } else {
             let inbox = Inbox::from_bit_range(recv_words, recv_occ, (start % 64) as u32);
-            if let Status::Halt(out) = proto.round(&mut ctx, inbox) {
-                *pending_halt = Some(out);
+            if let Status::Halt(out) = state.proto.round(&mut ctx, inbox) {
+                state.pending_halt = Some(out);
             }
         }
     }
@@ -1487,14 +1440,20 @@ impl<'g, P: Protocol> Engine<'g, P> {
     /// silent port stays silent wherever it lands. It runs in the round
     /// loop's sequential section because receive rows share occupancy
     /// words.
-    fn reorder_inboxes(slots: &[NodeSlot<'g, P>], round: usize, planes: &Planes, adv: Adversary) {
-        let plane = planes.recv_for(round);
-        for slot in slots {
-            let (id, degree) = (slot.info.id, slot.info.degree());
-            if !slot.active || slot.needs_init || degree <= 1 || !adv.reorders_inbox(round, id) {
+    fn reorder_inboxes(
+        ids: &[u32],
+        rows: &[NodeState<P>],
+        round: usize,
+        layout: &Layout<'g>,
+        adv: Adversary,
+    ) {
+        let plane = layout.recv_for(round);
+        for &v in ids {
+            let (id, state) = (NodeId(v), &rows[v as usize]);
+            let (start, degree) = layout.row(v as usize);
+            if !state.active || state.needs_init || degree <= 1 || !adv.reorders_inbox(round, id) {
                 continue;
             }
-            let start = slot.row_start as usize;
             // SAFETY: sequential section of the round loop — no worker
             // holds any plane reference — and the row is this node's own.
             let words = unsafe { plane.words_row(start, degree) };
@@ -1512,44 +1471,32 @@ impl<'g, P: Protocol> Engine<'g, P> {
         }
     }
 
-    /// Clears `slot`'s receive row in every plane of the ring, returning
-    /// how many messages it held: the crash and leave wipes.
-    fn wipe_inbox(slot: &NodeSlot<'g, P>, planes: &Planes) -> u64 {
-        planes
-            .recv
-            .iter()
-            .map(|plane| {
-                // SAFETY: called only from the round loop's sequential
-                // section — no worker holds any plane reference.
-                let occ = unsafe { plane.occ_all() };
-                take_bits(occ, slot.row_start as usize, slot.info.degree())
-            })
-            .sum()
-    }
-
-    /// The delivery kernel, for one sender: drain its send-plane row,
+    /// The delivery kernel, for sender `v`: drain its send-plane row,
     /// deciding each message's fate (statistics, `on_message`, churn,
     /// liveness, fault coins, delay) and queueing survivors into `batch`
-    /// at the mirror of their slot, then write the batch out.
+    /// at the mirror of their slot, then write the batch out. Everything
+    /// it reads about the sender comes from the graph by id.
     #[inline]
-    fn deliver_slot<'p>(
-        slot: &NodeSlot<'g, P>,
-        planes: &'p Planes,
+    fn deliver_node<'p>(
+        v: u32,
+        layout: &'p Layout<'g>,
         args: &DeliverArgs<'p>,
         batch: &mut Batch<'p>,
         tally: &mut Tally,
         on_message: &mut impl FnMut(NodeId, NodeId, usize),
     ) {
-        let start = slot.row_start as usize;
-        let occ_start = slot.occ_start as usize;
-        let degree = slot.info.degree();
+        let (graph, id) = (layout.graph, NodeId(v));
+        let (start, degree) = layout.row(v as usize);
+        let occ_start = layout.occ_start[v as usize] as usize;
         let occ_words = degree.div_ceil(64);
-        // SAFETY: row disjointness, as in `step` — each sender slot is
-        // drained by exactly one worker, and delivery only *reads* other
-        // nodes' payload rows through unique directed-edge cells.
-        let send_words = unsafe { planes.send.words_row(start, degree) };
+        let neighbor_ids = graph.neighbor_ids(id);
+        let mirror = &graph.mirror()[start..start + degree];
+        // SAFETY: row disjointness, as in `step` — each sender is drained
+        // by exactly one worker, and delivery only *reads* other nodes'
+        // payload rows through unique directed-edge cells.
+        let send_words = unsafe { layout.send.words_row(start, degree) };
         // SAFETY: same row disjointness, on the word-aligned occupancy row.
-        let send_occ = unsafe { planes.send.occ_row(occ_start, occ_words) };
+        let send_occ = unsafe { layout.send.occ_row(occ_start, occ_words) };
         for (w, occ_word) in send_occ.iter_mut().enumerate() {
             let mut pending = *occ_word;
             // Draining the send row is one store per occupancy word; a
@@ -1572,14 +1519,14 @@ impl<'g, P: Protocol> Engine<'g, P> {
                         tally.budget_violations += 1;
                     }
                 }
-                let to = slot.info.neighbor_ids[port];
-                on_message(slot.info.id, to, bits);
+                let to = neighbor_ids[port];
+                on_message(id, to, bits);
                 if let Some(down) = args.edge_down {
                     // Churn link state: a down edge eats the message
                     // before receiver liveness is even observable. The
                     // bit is keyed by undirected edge id, so both
                     // directions fail together.
-                    let e = slot.neighbor_edges[port].index();
+                    let e = graph.neighbor_edges(id)[port].index();
                     if down[e / 64] >> (e % 64) & 1 == 1 {
                         tally.adversary_dropped_messages += 1;
                         continue;
@@ -1590,15 +1537,15 @@ impl<'g, P: Protocol> Engine<'g, P> {
                     continue;
                 }
                 if let Some(adv) = args.adversary {
-                    if adv.drops_message(args.round, slot.info.id, to) {
+                    if adv.drops_message(args.round, id, to) {
                         // Lost in flight: the receiver is alive but never
                         // sees it. Every coin here is pure in (round,
                         // from, to), so the schedule is identical under
-                        // any delivery order or chunking.
+                        // any delivery order or split.
                         tally.adversary_dropped_messages += 1;
                         continue;
                     }
-                    if adv.corrupts_message(args.round, slot.info.id, to) {
+                    if adv.corrupts_message(args.round, id, to) {
                         tally.corrupted_messages += 1;
                         // The payload type decides whether corruption
                         // surfaces as a mutated value or as a checksum
@@ -1607,7 +1554,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                         // happens on the *unpacked* message — bit-flip
                         // semantics are the type's, not the frame's — and
                         // the survivor is repacked for the wire.
-                        let entropy = adv.corruption_entropy(args.round, slot.info.id, to);
+                        let entropy = adv.corruption_entropy(args.round, id, to);
                         match msg.corrupted(entropy) {
                             Some(garbled) => word = garbled.pack(),
                             None => continue,
@@ -1618,7 +1565,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 // scheduler adds a pure per-edge delay on top.
                 let delay = match args.scheduler {
                     Some(sched) => {
-                        let d = sched.delay(args.round, slot.info.id, to);
+                        let d = sched.delay(args.round, id, to);
                         if d > 0 {
                             tally.delayed_messages += 1;
                         }
@@ -1626,10 +1573,10 @@ impl<'g, P: Protocol> Engine<'g, P> {
                     }
                     None => 0,
                 };
-                let cell = slot.mirror[port];
+                let cell = mirror[port];
                 if args
                     .adversary
-                    .is_some_and(|adv| adv.duplicates_message(args.round, slot.info.id, to))
+                    .is_some_and(|adv| adv.duplicates_message(args.round, id, to))
                 {
                     // The duplicate trails the original by exactly one
                     // round: a distinct ring plane (the ring is one plane
@@ -1638,49 +1585,100 @@ impl<'g, P: Protocol> Engine<'g, P> {
                     // within this phase. Duplication is free on words —
                     // the same packed frame is scattered twice.
                     tally.duplicated_messages += 1;
-                    batch.push(planes.recv_for(args.round + 2 + delay), cell, word, tally);
+                    batch.push(layout.recv_for(args.round + 2 + delay), cell, word, tally);
                 }
                 let plane = if delay == 0 {
                     args.next
                 } else {
-                    planes.recv_for(args.round + 1 + delay)
+                    layout.recv_for(args.round + 1 + delay)
                 };
                 batch.push(plane, cell, word, tally);
             }
         }
         batch.flush(tally);
     }
+}
 
-    /// Delivery phase: apply this round's halts, scatter every send-plane
-    /// row into the receive plane (via `deliver`, or the sequential traced
-    /// path), then swap halted slots out of the active prefix. Runs after
-    /// *all* nodes computed, so whether a message is dropped depends only
-    /// on the set of halted nodes — never on node processing order.
-    /// Returns the new active prefix length.
-    #[allow(clippy::too_many_arguments)]
+/// The mutable state of one run, updated by the round loop's sequential
+/// section.
+struct RunState<'g, P: Protocol> {
+    rows: Vec<NodeState<P>>,
+    /// Ids of the nodes that may still step, ascending: the delivery
+    /// phase compacts it with a stable `retain`, and reboots merge their
+    /// ids back in order.
+    ids: Vec<u32>,
+    /// Liveness per node id, read by delivery's drop decisions.
+    alive: Vec<bool>,
+    outputs: Vec<Option<P::Output>>,
+    stats: RunStats,
+    traces: Vec<MessageTrace>,
+    seed: u64,
+    factory: Box<dyn FnMut(&NodeInfo<'g>) -> P + 'g>,
+}
+
+impl<'g, P: Protocol> RunState<'g, P> {
+    /// Takes node `v` out of the run before a compute phase — a crash or a
+    /// churn leave: it stops stepping, and delivery drops everything
+    /// addressed to it. With `wipe`, its receive rows across the ring are
+    /// cleared too and their messages counted as dropped, so a later
+    /// [`reboot`](Self::reboot) starts from an empty inbox.
+    fn depart(&mut self, v: usize, layout: &Layout<'g>, wipe: bool) {
+        self.rows[v].active = false;
+        self.alive[v] = false;
+        if wipe {
+            let (start, degree) = layout.row(v);
+            self.stats.dropped_messages += layout.wipe(start, degree);
+        }
+    }
+
+    /// Boots node `v` again — a restart after a crash, or a churn join —
+    /// with factory-fresh protocol state and a fresh RNG stream, salted by
+    /// `salt` and the round so a node rebooting twice gets two distinct
+    /// streams. Its next step runs `init`. The caller merges the id back
+    /// into the active list with [`relist`](Self::relist).
+    fn reboot(&mut self, v: usize, layout: &Layout<'g>, salt: u64, round: usize) {
+        let id = NodeId(v as u32);
+        let state = &mut self.rows[v];
+        state.proto = (self.factory)(&layout.globals.info(layout.graph, id));
+        state.rng = node_rng(phase_seed(self.seed, salt.wrapping_add(round as u64)), id);
+        state.pending_halt = None;
+        state.needs_init = true;
+        state.active = true;
+        self.alive[v] = true;
+    }
+
+    /// Rebuilds the active list from liveness, ascending: the merge after
+    /// reboots. Outside the delivery phase a node is alive exactly when it
+    /// is active, so this also drops nodes that departed earlier in the
+    /// round, which have nothing left to step or send.
+    fn relist(&mut self) {
+        let alive = &self.alive;
+        self.ids.clear();
+        self.ids
+            .extend((0..alive.len() as u32).filter(|&v| alive[v as usize]));
+    }
+
+    /// Delivery phase: apply this round's halts, scatter every listed
+    /// node's send-plane row into the receive plane (via `deliver`, or the
+    /// sequential traced path), then drop halted and departed ids from
+    /// the active list with a stable `retain`. Runs after *all* nodes
+    /// computed, so whether a message is dropped depends only on the set
+    /// of halted nodes — never on node processing order.
     fn delivery_phase(
+        &mut self,
         config: &SimConfig,
-        slots: &mut [NodeSlot<'g, P>],
-        active_len: usize,
-        compact: bool,
-        planes: &Planes,
-        alive: &mut [bool],
+        layout: &Layout<'g>,
         edge_down: Option<&[u64]>,
-        outputs: &mut [Option<P::Output>],
-        active_count: &mut usize,
-        stats: &mut RunStats,
-        traces: &mut Vec<MessageTrace>,
         round: usize,
-        deliver: &impl Fn(&mut [NodeSlot<'g, P>], &Planes, &DeliverArgs<'_>) -> Tally,
-    ) -> usize {
-        for slot in slots[..active_len].iter_mut() {
-            if let Some(out) = slot.pending_halt.take() {
-                debug_assert!(slot.active, "inactive nodes are never stepped");
-                let v = slot.info.id.index();
-                outputs[v] = Some(out);
-                alive[v] = false;
-                slot.active = false;
-                *active_count -= 1;
+        deliver: &impl Fn(&[u32], &Layout<'g>, &DeliverArgs<'_>) -> Tally,
+    ) {
+        for &v in &self.ids {
+            let (v, state) = (v as usize, &mut self.rows[v as usize]);
+            if let Some(out) = state.pending_halt.take() {
+                debug_assert!(state.active, "inactive nodes are never stepped");
+                self.outputs[v] = Some(out);
+                self.alive[v] = false;
+                state.active = false;
             }
         }
         // The receive plane this round's compute phase consumed is cleared
@@ -1688,10 +1686,10 @@ impl<'g, P: Protocol> Engine<'g, P> {
         // writes arrivals of round `round + ring_len`, which land in it.
         // SAFETY: the compute phase is over and delivery has not started,
         // so no worker holds any plane reference.
-        unsafe { planes.recv_for(round).occ_all() }.fill(0);
+        unsafe { layout.recv_for(round).occ_all() }.fill(0);
         let args = DeliverArgs {
-            next: planes.recv_for(round + 1),
-            alive,
+            next: layout.recv_for(round + 1),
+            alive: &self.alive,
             bit_budget: config.bit_budget,
             round,
             adversary: config.adversary.filter(Adversary::affects_delivery),
@@ -1699,47 +1697,35 @@ impl<'g, P: Protocol> Engine<'g, P> {
             edge_down,
         };
         let tally = if config.record_traces {
-            // Tracing pins delivery to ascending node-id order (compaction
-            // is off, so slot order is id order) and stays sequential —
-            // the documented small-graph path.
+            // Tracing pins delivery to ascending node-id order — the
+            // list's own order — and stays sequential: the documented
+            // small-graph path.
+            let traces = &mut self.traces;
             // SAFETY: this thread delivers the whole phase.
             unsafe {
-                Self::deliver_all(slots, planes, &args, BitSet::Plain, |from, to, bits| {
-                    traces.push(MessageTrace {
-                        round,
-                        from,
-                        to,
-                        bits,
-                    });
-                })
+                Engine::<P>::deliver_all(
+                    &self.ids,
+                    layout,
+                    &args,
+                    BitSet::Plain,
+                    |from, to, bits| {
+                        traces.push(MessageTrace {
+                            round,
+                            from,
+                            to,
+                            bits,
+                        });
+                    },
+                )
             }
         } else {
-            deliver(&mut slots[..active_len], planes, &args)
+            deliver(&self.ids, layout, &args)
         };
-        stats.total_messages += tally.total_messages;
-        stats.max_message_bits = stats.max_message_bits.max(tally.max_message_bits);
-        stats.budget_violations += tally.budget_violations;
-        stats.dropped_messages += tally.dropped_messages;
-        stats.adversary_dropped_messages += tally.adversary_dropped_messages;
-        stats.delayed_messages += tally.delayed_messages;
-        stats.duplicated_messages += tally.duplicated_messages;
-        stats.corrupted_messages += tally.corrupted_messages;
-        if !compact {
-            return active_len;
-        }
-        // Swap this round's halted slots out of the active prefix so
-        // future compute/delivery phases never revisit them.
-        let mut i = 0;
-        let mut len = active_len;
-        while i < len {
-            if slots[i].active {
-                i += 1;
-            } else {
-                len -= 1;
-                slots.swap(i, len);
-            }
-        }
-        len
+        tally.add_to(&mut self.stats);
+        // Outside the halting loop above, `alive` is exactly `active`, and
+        // it is the denser of the two to scan.
+        let alive = &self.alive;
+        self.ids.retain(|&v| alive[v as usize]);
     }
 }
 
@@ -2333,9 +2319,9 @@ mod tests {
         }
     }
 
-    /// The same bit-identity with tracing *off*, which enables active-slot
-    /// compaction: the swap-compacted prefix must not change outputs or
-    /// statistics relative to the traced (uncompacted) path.
+    /// The same bit-identity with tracing *off*: the untraced executors,
+    /// which split the compacted active list between workers, must not
+    /// change outputs or statistics relative to the traced path.
     #[test]
     fn compaction_preserves_outputs_and_stats() {
         let mut rng = SmallRng::seed_from_u64(7);

@@ -49,7 +49,7 @@
 //! `(round, node)` for crashes and reorders — via SplitMix64 mixing
 //! ([`rng::coin`](crate::rng::coin)), never a shared sequential RNG. That
 //! makes fault schedules independent of node processing order, of
-//! active-slot compaction, and of how the parallel executor chunks slots
+//! active-list compaction, and of how the parallel executors split nodes
 //! across threads: `run` and `run_parallel` see the *same* faults, bit
 //! for bit, and re-running with the same seeds reproduces a failure
 //! exactly.
@@ -273,8 +273,8 @@ impl Adversary {
     }
 
     /// Whether any topology-churn coin (edge flips, node joins/leaves)
-    /// can fire — the engine runs its per-round churn section, and keeps
-    /// active-slot compaction off, only when this holds.
+    /// can fire — the engine runs its per-round churn section only when
+    /// this holds.
     pub fn has_churn(&self) -> bool {
         self.edge_flip_prob > 0.0 || self.node_join_prob > 0.0 || self.node_leave_prob > 0.0
     }

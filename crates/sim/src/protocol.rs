@@ -25,8 +25,9 @@ pub type Port = usize;
 /// The per-port slices are *borrowed views* into the graph's flat CSR
 /// adjacency block (see [`congest_graph::Graph`]) — building a `NodeInfo`
 /// copies two fat pointers, never the adjacency itself, which is what lets
-/// [`Engine::build`](crate::Engine::build) allocate `O(n)` for a run and
-/// lets parallel rounds share one read-only adjacency image. The borrow
+/// the engine build one on the stack whenever a node needs it instead of
+/// storing one per node, and lets parallel rounds share one read-only
+/// adjacency image. The borrow
 /// lives as long as the graph borrow `'g` the engine was built from: a
 /// protocol may freely hold onto `neighbor_ids` / `edge_weights` (or a
 /// whole copied `NodeInfo`, which is `Copy`) across rounds, but must copy

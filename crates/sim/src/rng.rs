@@ -44,7 +44,7 @@ pub fn phase_rng(master: u64, phase: u64) -> SmallRng {
 /// and the [`AsyncScheduler`](crate::AsyncScheduler) hash an event's
 /// coordinates (round, endpoints) through this instead of drawing from a
 /// shared sequential RNG, so their schedules are independent of node
-/// processing order, slot compaction, and parallel chunking.
+/// processing order, active-list compaction, and parallel splits.
 #[inline]
 pub fn mix4(seed: u64, salt: u64, a: u64, b: u64) -> u64 {
     splitmix64(splitmix64(splitmix64(seed ^ salt).wrapping_add(a)).wrapping_add(b))

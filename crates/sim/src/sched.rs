@@ -10,8 +10,8 @@
 //! SplitMix64 coins the [`Adversary`](crate::Adversary) uses
 //! ([`rng::coin`](crate::rng::coin)). Because the delay is a pure function
 //! of the event's coordinates — not of any shared RNG stream — schedules
-//! are independent of node processing order, slot compaction, and parallel
-//! chunking, so `run ≡ run_parallel` bit-for-bit under any delay
+//! are independent of node processing order, active-list compaction, and
+//! parallel splits, so `run ≡ run_parallel` bit-for-bit under any delay
 //! distribution.
 //!
 //! A scheduler whose distribution cannot exceed zero delay (e.g.

@@ -1,15 +1,16 @@
 //! Verifies the tentpole memory discipline: the steady-state round loop
 //! performs **zero engine-side heap allocations**. The message planes,
-//! slot table, outputs, and liveness buffers are all allocated in
-//! `Engine::build` / the `run` prologue, so the total allocation count of
-//! a run must not depend on how many rounds it executes.
+//! node-state rows, active-id list, outputs, and liveness buffers are all
+//! allocated in `Engine::build` / the `run` prologue, so the total
+//! allocation count of a run must not depend on how many rounds it
+//! executes.
 //!
 //! The test protocol is itself allocation-free (plain `u64` broadcasts,
 //! no per-round state growth), so every counted allocation is the
 //! engine's. Only the sequential executor is pinned here: on multi-core
-//! hosts the parallel path's scoped-thread shim allocates O(threads) per
-//! round for worker handles (the real rayon's persistent pool would not),
-//! which is engine-external and documented in `shims/README.md`.
+//! hosts the parallel executors spawn scoped worker threads per phase and
+//! allocate O(threads) per round for their handles and pieces (a
+//! persistent pool would not).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,9 +113,8 @@ fn steady_state_rounds_allocate_nothing() {
 
     // On a single-threaded host `run_parallel` takes the inline fallback
     // and must share the zero-allocation property; on multi-core hosts
-    // the scoped-thread shim allocates per round for worker handles
-    // (engine-external, see shims/README.md), so the check only applies
-    // where the fallback is active.
+    // the scoped worker threads allocate per round for their handles, so
+    // the check only applies where the fallback is active.
     if rayon::current_num_threads() == 1 {
         let run_par_once = |rounds: usize| {
             let config = SimConfig::local().with_max_rounds(rounds);

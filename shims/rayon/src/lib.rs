@@ -6,8 +6,7 @@
 //! [`slice::ParallelSliceMut::par_chunks_mut`] + `for_each`. Parallelism
 //! is real — chunks run on `std::thread::scope` threads — but there is no
 //! persistent work-stealing pool, so callers should hand over
-//! coarse-grained chunks (one per hardware thread), which is exactly how
-//! `congest_sim::Engine::run_parallel` calls it. Swapping in the real
+//! coarse-grained chunks (one per hardware thread). Swapping in the real
 //! `rayon` crate requires only a `Cargo.toml` change.
 
 pub mod prelude {

@@ -35,8 +35,7 @@ impl<'a, T: Send> ParChunksMut<'a, T> {
     /// thread, so the sequential case pays no thread-spawn cost. Worker
     /// batches are carved with `split_at_mut` instead of collecting a
     /// chunk list, so the only per-call heap traffic is the scoped
-    /// spawns themselves (callers like `congest_sim::Engine` invoke this
-    /// every round).
+    /// spawns themselves.
     pub fn for_each<F>(self, f: F)
     where
         F: Fn(&mut [T]) + Sync,
@@ -46,10 +45,9 @@ impl<'a, T: Send> ParChunksMut<'a, T> {
 
     /// [`for_each`](Self::for_each) with an explicit worker-count cap.
     ///
-    /// Public so callers can pin a worker count independent of the host —
-    /// the bench harness sweeps a `threads` column through
-    /// `congest_sim::Engine::run_parallel_with`, and tests drive the
-    /// scoped-thread path on single-core hosts. (The real rayon expresses
+    /// Public so callers can pin a worker count independent of the host,
+    /// and tests drive the scoped-thread path on single-core hosts. (The
+    /// real rayon expresses
     /// this via a sized `ThreadPool::install`; swapping it in would move
     /// this cap into pool construction.)
     pub fn for_each_with_workers<F>(self, max_workers: usize, f: F)

@@ -110,9 +110,9 @@ proptest! {
         prop_assert!(verify_mis(&g, &results).is_ok());
     }
 
-    /// Tracing disables compaction and pins delivery to ascending node-id
-    /// order; that path must still agree with the compacted one on
-    /// everything they both report.
+    /// Tracing pins delivery to one thread in ascending node-id order;
+    /// that path must still agree with the untraced one on everything
+    /// they both report.
     #[test]
     fn traced_and_compacted_paths_agree(
         g in arb_topology(),
@@ -145,10 +145,10 @@ proptest! {
         prop_assert_eq!(seq.stats, par.stats);
     }
 
-    /// The traced (compaction-off) and compacted delivery paths must also
-    /// agree under every fault schedule: fault coins cannot depend on
-    /// slot order. (Restart mode disables compaction on both sides, which
-    /// must be invisible in outputs and stats.)
+    /// The traced and untraced delivery paths must also agree under every
+    /// fault schedule: fault coins cannot depend on processing order, and
+    /// the reboots of restart mode, merged back into the active list,
+    /// must be invisible in outputs and stats.
     #[test]
     fn traced_and_compacted_paths_agree_under_faults(
         g in arb_topology(),
