@@ -597,25 +597,8 @@ impl CellReport {
     }
 }
 
-/// Engine seeds per cell: `small` = smoke (CI), `full` = the checked-in
-/// ledger.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SampleSize {
-    /// One seed per cell.
-    Small,
-    /// Three seeds per cell.
-    Full,
-}
-
-impl SampleSize {
-    /// The engine seeds swept per cell.
-    pub fn seeds(self) -> &'static [u64] {
-        match self {
-            SampleSize::Small => &[11],
-            SampleSize::Full => &[11, 42, 2024],
-        }
-    }
-}
+/// The engine seeds swept per cell.
+pub const SEEDS: [u64; 3] = [11, 42, 2024];
 
 /// Instantiates the weighted graph of one (topology, weighting) cell.
 pub fn build_graph(topo: &Topology, weighting: Weighting) -> Graph {
@@ -720,8 +703,7 @@ pub fn conformance_cell(
 /// The full conformance suite: weighted protocols sweep
 /// uniform/zipf/adversarial weights, cardinality protocols run on unit
 /// weights, every cell over every topology.
-pub fn conformance_suite(samples: SampleSize) -> Vec<CellReport> {
-    let seeds = samples.seeds();
+pub fn conformance_suite() -> Vec<CellReport> {
     let mut reports = Vec::new();
     for topo in topologies() {
         for &kind in &PROTOCOLS {
@@ -731,7 +713,7 @@ pub fn conformance_suite(samples: SampleSize) -> Vec<CellReport> {
                 &[Weighting::Unit]
             };
             for &w in weightings {
-                reports.push(conformance_cell(kind, &topo, w, seeds));
+                reports.push(conformance_cell(kind, &topo, w, &SEEDS));
             }
         }
     }
@@ -966,12 +948,7 @@ mod tests {
     #[test]
     fn one_conformance_cell_end_to_end() {
         let topo = topologies().remove(4); // path: fast + deterministic
-        let report = conformance_cell(
-            ProtocolKind::MaxIsAlg2,
-            &topo,
-            Weighting::Uniform,
-            SampleSize::Small.seeds(),
-        );
+        let report = conformance_cell(ProtocolKind::MaxIsAlg2, &topo, Weighting::Uniform, &[11]);
         assert!(report.all_valid && report.within_bound);
         assert!(report.ratio_min >= report.ratio_bound);
         let json = report.to_json();

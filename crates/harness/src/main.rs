@@ -1,9 +1,8 @@
 //! Conformance-harness entry point.
 //!
 //! ```text
-//! cargo run --release -p harness [-- PATH] [--samples small|full]
-//!                                [--degradation PATH] [--churn PATH]
-//!                                [--service PATH] [--check]
+//! cargo run --release -p harness [-- PATH] [--degradation PATH]
+//!                                [--churn PATH] [--service PATH] [--check]
 //! ```
 //!
 //! Runs the full scenario matrix (see `congest_harness`), panicking on
@@ -21,9 +20,6 @@
 //! is appended to the `--service` path (default `SERVICE_engine.json`,
 //! shared with the `load_gen` throughput records).
 //!
-//! `--samples small` sweeps one engine seed per cell (the CI smoke
-//! setting); `--samples full` (default) sweeps three.
-//!
 //! `--check` appends nothing: it regenerates every suite in memory and
 //! exits non-zero unless each ledger's newest grid — its last records,
 //! as many as the suite produces — equals the fresh records, so a change
@@ -32,7 +28,7 @@
 use congest_bench::Table;
 use congest_harness::{
     churn_acceptance, churn_suite, conformance_suite, degradation_suite, fault_suite,
-    service_suite, SampleSize,
+    service_suite, SEEDS,
 };
 
 fn main() {
@@ -40,19 +36,13 @@ fn main() {
     let mut degradation_path = "DEGRADATION_engine.json".to_string();
     let mut churn_path = "CHURN_engine.json".to_string();
     let mut service_path = "SERVICE_engine.json".to_string();
-    let mut samples = SampleSize::Full;
     let mut check = false;
     // CLI flag parsing is this binary's job; the workspace-wide ban
     // (clippy.toml) targets protocol code, not the harness entry point.
     #[allow(clippy::disallowed_methods)]
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--samples" {
-            let v = args.next().expect("--samples needs small|full");
-            samples = parse_samples(&v);
-        } else if let Some(v) = arg.strip_prefix("--samples=") {
-            samples = parse_samples(v);
-        } else if arg == "--degradation" {
+        if arg == "--degradation" {
             degradation_path = args.next().expect("--degradation needs a path");
         } else if let Some(v) = arg.strip_prefix("--degradation=") {
             degradation_path = v.to_string();
@@ -69,7 +59,7 @@ fn main() {
         } else if arg.starts_with('-') {
             // Don't let a flag typo silently become the output path.
             panic!(
-                "unknown flag {arg}; usage: harness [PATH] [--samples small|full] [--degradation PATH] [--churn PATH] [--service PATH] [--check]"
+                "unknown flag {arg}; usage: harness [PATH] [--degradation PATH] [--churn PATH] [--service PATH] [--check]"
             );
         } else {
             out_path = arg;
@@ -78,9 +68,9 @@ fn main() {
 
     eprintln!(
         "running conformance matrix ({} engine seed(s) per cell)...",
-        samples.seeds().len()
+        SEEDS.len()
     );
-    let conformance = conformance_suite(samples);
+    let conformance = conformance_suite();
     eprintln!("running fault-injection suite...");
     let faults = fault_suite();
     eprintln!("running degradation grid...");
@@ -90,7 +80,7 @@ fn main() {
     eprintln!("running churn repair acceptance rows (gnp-10k)...");
     churn.extend(churn_acceptance());
     eprintln!("running service oracle grid...");
-    let service = service_suite(samples);
+    let service = service_suite();
 
     let mut table = Table::new(&[
         "protocol", "graph", "weights", "valid", "rounds", "budget", "ratio", "bound", "oracle",
@@ -256,7 +246,7 @@ fn main() {
 /// `fresh`, printing the verdict.
 fn newest_grid_matches(path: &str, fresh: &[String]) -> bool {
     let contents = std::fs::read_to_string(path).unwrap_or_default();
-    let ledger = congest_bench::ledger::records(&contents);
+    let ledger = congest_bench::ledger::records(&contents, path);
     let newest = &ledger[ledger.len().saturating_sub(fresh.len())..];
     let differ = if newest.len() < fresh.len() {
         fresh.len()
@@ -276,12 +266,4 @@ fn newest_grid_matches(path: &str, fresh: &[String]) -> bool {
         );
     }
     differ == 0
-}
-
-fn parse_samples(v: &str) -> SampleSize {
-    match v {
-        "small" => SampleSize::Small,
-        "full" => SampleSize::Full,
-        other => panic!("--samples must be small or full, got {other}"),
-    }
 }

@@ -34,7 +34,7 @@ use congest_service::{DeltaOp, MatchingService, Request, Response, ServiceConfig
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{build_graph, opt_value, topologies, ProtocolKind, SampleSize, Topology, Weighting};
+use crate::{build_graph, opt_value, topologies, ProtocolKind, Topology, Weighting, SEEDS};
 
 /// Shard counts swept per cell: the single-worker baseline and an
 /// uneven split (16-node graphs over 3 shards), so the suite also
@@ -450,12 +450,12 @@ pub fn service_cell(
 
 /// The full service oracle suite: every harness topology × three
 /// weightings × the shard counts of [`SERVICE_SHARDS`] (36 cells).
-pub fn service_suite(samples: SampleSize) -> Vec<ServiceReport> {
+pub fn service_suite() -> Vec<ServiceReport> {
     let mut reports = Vec::new();
     for topo in &topologies() {
         for &weighting in &SERVICE_WEIGHTINGS {
             for &shards in &SERVICE_SHARDS {
-                reports.push(service_cell(topo, weighting, shards, samples.seeds()));
+                reports.push(service_cell(topo, weighting, shards, &SEEDS));
             }
         }
     }
