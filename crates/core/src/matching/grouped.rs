@@ -1,32 +1,32 @@
 //! Footnote 5 of Section 2.4: the line-graph local-ratio matching run
 //! *directly on `G`* — "equivalent to iteratively running a maximal
 //! matching on weight groups in G and performing local ratio steps on the
-//! edges of the matching".
-//!
-//! Each node manages the state of its incident edges; every round each
-//! physical edge carries exactly one `O(log n)`-bit message per
-//! direction, so this is a genuine CONGEST implementation of the
-//! Theorem 2.10 matching (the engine meters it for real, rather than
-//! under the Theorem 2.8 cost model). The lifecycle notifications between
-//! adjacent edges are free: adjacent edges share an endpoint, and that
-//! endpoint updates both of its local records without any communication.
+//! edges of the matching". Each node manages its incident edges, and every
+//! round each physical edge carries one `O(log n)`-bit message per
+//! direction, so this is a genuine CONGEST implementation of Theorem 2.10
+//! (metered for real, not under the Theorem 2.8 cost model). Adjacent
+//! edges share an endpoint, which updates both records without messages.
 //!
 //! Cycle structure (4 rounds):
-//! 1. **Announce** — the primary endpoint of every remaining edge draws a
-//!    fresh priority and sends `(layer, prio)` across the edge, so both
-//!    endpoints hold the edge's competition tuple.
-//! 2. **ExcludeMax** — each endpoint sends, per incident edge `e`, the
-//!    maximum tuple among its *other* remaining incident edges; both
-//!    endpoints can then decide `e`'s win identically (win ⇔ `e`'s tuple
-//!    beats both side-maxima: exactly the Algorithm-2 rule on `L(G)`).
-//! 3. **ReduceSum** — each endpoint sends, per incident edge `e`, the sum
-//!    of the weights of its *other* incident edges that just won; both
-//!    endpoints apply the identical weight update (the local-ratio step)
-//!    and identically classify `e` as remaining / candidate / removed.
-//! 4. **Resolve** — each endpoint sends, per incident candidate edge,
-//!    whether its side's wait-set (surviving incident edges) has fully
-//!    resolved; a candidate with both sides clear joins the matching,
-//!    killing the waiting candidates at its endpoints (locally).
+//! 1. **Announce** — the primary (smaller-id) endpoint of each remaining
+//!    edge draws a fresh priority and sends `(layer, prio)`; with the
+//!    primary's id as tiebreak, both endpoints hold `(layer, prio, tie)`.
+//! 2. **ExcludeMax** — per incident edge `e`, the max tuple among the
+//!    *other* remaining edges (one top-two pass answers every port); `e`
+//!    wins ⇔ it beats both side-maxima, Algorithm 2's rule on `L(G)`.
+//! 3. **ReduceSum** — per edge, the weight of the *other* winners (the
+//!    winner total minus its own); both endpoints apply the same
+//!    local-ratio step and classify `e` as remaining / candidate / removed.
+//! 4. **Resolve** — per candidate, whether its side's wait-set (the edges
+//!    still remaining right after it won) has resolved; a candidate with
+//!    both sides clear joins the matching, killing the other candidates at
+//!    its endpoints. States only move forward, so the set is no list: a
+//!    node numbers its candidacies and stamps each set with the count at
+//!    its build, and the unresolved members are the remaining edges plus
+//!    the candidates numbered after the stamp, counted in one pass.
+//!
+//! So a node does O(deg) work per round and allocates once, in `init`: one
+//! 32-byte slot per port.
 
 use congest_graph::{Graph, Matching, NodeId, ShardPartition};
 use congest_sim::{
@@ -140,7 +140,9 @@ impl PackedMsg for GroupedMsg {
     }
 }
 
-/// Status of an incident edge as tracked by an endpoint.
+/// Status of an incident edge as tracked by an endpoint. States only
+/// move forward: `Remaining` → `Candidate` → `Matched` or `Dead`, or
+/// `Remaining` → `Dead`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum EdgeState {
     /// Still in the local-ratio graph.
@@ -153,24 +155,81 @@ enum EdgeState {
     Dead,
 }
 
-/// An endpoint's record of one incident edge.
-#[derive(Clone, Debug)]
+/// Width of the tiebreak (node id) field of a [`key`].
+const TIE_BITS: u32 = 28;
+/// Width of the priority field of a [`key`].
+const PRIO_BITS: u32 = 26;
+const TIE_MASK: u64 = (1 << TIE_BITS) - 1;
+
+/// Packs a competition tuple `(layer, prio, tie)` into one word whose
+/// integer order is the tuple's lexicographic order. The fields are the
+/// wire format's: layer 7 bits, prio 26, tie 28 — so node ids must stay
+/// below `2²⁸`.
+fn key(layer: u32, prio: u64, tie: u64) -> u64 {
+    debug_assert!(layer < 1 << 7, "layer exceeds its 7-bit field");
+    debug_assert!(prio < 1 << PRIO_BITS, "priority exceeds its field");
+    assert!(tie <= TIE_MASK, "tiebreak id exceeds its field: n ≥ 2²⁸");
+    u64::from(layer) << (PRIO_BITS + TIE_BITS) | prio << TIE_BITS | tie
+}
+
+/// The tuple a [`key`] packs.
+fn tuple(key: u64) -> (u32, u64, u64) {
+    (
+        (key >> (PRIO_BITS + TIE_BITS)) as u32,
+        (key >> TIE_BITS) & ((1 << PRIO_BITS) - 1),
+        key & TIE_MASK,
+    )
+}
+
+/// This node is the edge's primary (smaller-id) endpoint.
+const PRIMARY: u8 = 1;
+/// The edge won the current cycle.
+const WON: u8 = 1 << 1;
+/// An adjacent edge (at either endpoint) matched, killing this candidate.
+const KILLED: u8 = 1 << 2;
+/// The remote side reported its wait-set clear.
+const REMOTE_CLEAR: u8 = 1 << 3;
+/// This side's wait-set had unresolved edges at the last prune.
+const WAITING: u8 = 1 << 4;
+
+/// An endpoint's record of one incident edge: 32 bytes, no heap.
+#[derive(Copy, Clone, Debug)]
 struct EdgeSlot {
-    state: EdgeState,
+    /// Competition tuple for the current cycle, as a [`key`].
+    key: u64,
     /// Running local-ratio weight (kept identical at both endpoints).
     w: i64,
-    /// Competition tuple for the current cycle.
-    tuple: (u32, u64, u64),
-    /// Did this edge win the current cycle?
-    won: bool,
-    /// Ports (at this node) of edges that survived this edge's reduction
-    /// and have not yet resolved — this side's wait-set.
-    waiting_on: Vec<Port>,
-    /// Whether an adjacent edge (at either endpoint) matched, killing
-    /// this candidate.
-    killed: bool,
-    /// Whether the remote side reported its wait-set clear last resolve.
-    remote_clear: bool,
+    /// When the edge became a candidate, on the node's candidacy count.
+    joined: u32,
+    /// The node's candidacy count when this side's wait-set was built.
+    stamp: u32,
+    state: EdgeState,
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<EdgeSlot>() <= 32);
+
+impl EdgeSlot {
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    fn set(&mut self, flag: u8, on: bool) {
+        if on {
+            self.flags |= flag;
+        } else {
+            self.flags &= !flag;
+        }
+    }
+
+    /// The weight this edge adds to its endpoint's winner total.
+    fn won_weight(&self) -> u64 {
+        if self.has(WON) {
+            self.w as u64
+        } else {
+            0
+        }
+    }
 }
 
 /// Node protocol for the grouped (footnote-5) matching. Output: this
@@ -178,50 +237,58 @@ struct EdgeSlot {
 /// directly, so assembly is an O(1) port-indexed lookup per node instead
 /// of a binary-search probe.
 pub struct GroupedLrMatching {
-    slots: Vec<EdgeSlot>,
+    /// One slot per port, allocated in `init`.
+    slots: Box<[EdgeSlot]>,
+    /// Edges that have become candidates at this node so far: the clock
+    /// behind [`EdgeSlot::joined`] and [`EdgeSlot::stamp`].
+    candidacies: u32,
 }
 
 impl GroupedLrMatching {
     fn new() -> Self {
-        GroupedLrMatching { slots: Vec::new() }
+        GroupedLrMatching {
+            slots: Box::default(),
+            candidacies: 0,
+        }
     }
 
-    /// The edge at `port` is primary at this node iff this node's id is
-    /// smaller than the neighbor's.
-    fn is_primary(ctx: &Context<'_, GroupedMsg>, port: Port) -> bool {
-        ctx.id() < ctx.neighbor(port)
+    /// The largest key among remaining edges with its port, and the
+    /// largest among the remaining edges other than that port (which
+    /// ties the first when two edges share the top key).
+    fn top_two(&self) -> (Option<(Port, u64)>, Option<u64>) {
+        let mut best: Option<(Port, u64)> = None;
+        let mut second = None;
+        for (p, s) in self.slots.iter().enumerate() {
+            if s.state != EdgeState::Remaining {
+                continue;
+            }
+            match best {
+                Some((_, b)) if s.key <= b => second = second.max(Some(s.key)),
+                _ => {
+                    second = best.map(|(_, b)| b);
+                    best = Some((p, s.key));
+                }
+            }
+        }
+        (best, second)
     }
 
-    /// Max tuple among remaining incident edges other than `skip`.
-    fn exclude_max(&self, skip: Port) -> Option<(u32, u64, u64)> {
+    /// Max key among remaining incident edges other than `skip`, from
+    /// [`top_two`](Self::top_two).
+    fn exclude_max(top: (Option<(Port, u64)>, Option<u64>), skip: Port) -> Option<u64> {
+        match top {
+            (Some((p, _)), second) if p == skip => second,
+            (best, _) => best.map(|(_, b)| b),
+        }
+    }
+
+    /// Sum of winner weights over every incident edge, wrapping as the
+    /// 64-bit word does; an edge's share of its neighbours' wins is this
+    /// total minus its own [`EdgeSlot::won_weight`].
+    fn winner_total(&self) -> u64 {
         self.slots
             .iter()
-            .enumerate()
-            .filter(|(p, s)| *p != skip && s.state == EdgeState::Remaining)
-            .map(|(_, s)| s.tuple)
-            .max()
-    }
-
-    /// Sum of winner weights among incident edges other than `skip`.
-    fn exclude_winner_sum(&self, skip: Port) -> u64 {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(p, s)| *p != skip && s.won)
-            .map(|(_, s)| s.w as u64)
-            .sum()
-    }
-
-    fn all_done(&self) -> bool {
-        self.slots
-            .iter()
-            .all(|s| matches!(s.state, EdgeState::Matched | EdgeState::Dead))
-    }
-
-    fn matched_port(&self) -> Option<Port> {
-        self.slots
-            .iter()
-            .position(|s| s.state == EdgeState::Matched)
+            .fold(0u64, |t, s| t.wrapping_add(s.won_weight()))
     }
 }
 
@@ -230,15 +297,15 @@ impl Protocol for GroupedLrMatching {
     type Output = Option<(u32, NodeId)>;
 
     fn init(&mut self, ctx: &mut Context<'_, GroupedMsg>) {
+        let id = ctx.id();
         self.slots = (0..ctx.degree())
             .map(|p| EdgeSlot {
-                state: EdgeState::Remaining,
+                key: 0,
                 w: ctx.edge_weight(p) as i64,
-                tuple: (0, 0, 0),
-                won: false,
-                waiting_on: Vec::new(),
-                killed: false,
-                remote_clear: false,
+                joined: 0,
+                stamp: 0,
+                state: EdgeState::Remaining,
+                flags: if id < ctx.neighbor(p) { PRIMARY } else { 0 },
             })
             .collect();
     }
@@ -254,38 +321,33 @@ impl Protocol for GroupedLrMatching {
                 // lands here: fold it in before announcing.
                 for (port, msg) in inbox {
                     if let GroupedMsg::Resolve { side_clear, killed } = msg {
-                        if killed {
-                            self.slots[port].killed = true;
-                        }
-                        if side_clear {
-                            self.slots[port].remote_clear = true;
-                        }
+                        let s = &mut self.slots[port];
+                        s.flags |= if killed { KILLED } else { 0 };
+                        s.flags |= if side_clear { REMOTE_CLEAR } else { 0 };
                     }
                 }
-                // Phase 1 — announce: primaries draw priorities. The
-                // tiebreak component is the primary's id·Δ+port, unique
-                // per edge and computable by both sides (the secondary
-                // derives it from the received direction).
+                // Phase 1 — announce: primaries draw priorities, capped at
+                // the wire format's 26-bit field. The tiebreak is the
+                // primary's id, which the secondary reads off the direction
+                // the announcement arrives from. It is not unique per edge:
+                // two edges of one primary that draw the same layer and
+                // priority tie, and neither wins this cycle.
+                let n = ctx.info().n.max(2) as u64;
+                let domain = n.saturating_mul(n).saturating_mul(n).min(1 << PRIO_BITS);
+                let own = u64::from(ctx.id().0);
                 for p in 0..self.slots.len() {
-                    if self.slots[p].state != EdgeState::Remaining {
+                    let s = self.slots[p];
+                    if s.state != EdgeState::Remaining || !s.has(PRIMARY) {
                         continue;
                     }
-                    if Self::is_primary(ctx, p) {
-                        let layer = match layer_of_signed(self.slots[p].w) {
-                            Some(l) => l,
-                            None => continue, // dead, will be classified below
-                        };
-                        let n = ctx.info().n.max(2) as u64;
-                        // Capped at the wire format's 26-bit priority
-                        // field; the per-edge tiebreak keeps wins unique
-                        // regardless of collisions.
-                        let domain = n.saturating_mul(n).saturating_mul(n).min(1 << 26);
-                        let prio = ctx.rng().random_range(0..domain);
-                        let tie =
-                            u64::from(ctx.id().0) * (ctx.info().max_degree as u64 + 1) + p as u64;
-                        self.slots[p].tuple = (layer, prio, tie);
-                        ctx.send(p, GroupedMsg::Announce { layer, prio });
-                    }
+                    // A remaining edge without a layer has no weight left:
+                    // it draws nothing, and phase 4 classifies it.
+                    let Some(layer) = layer_of_signed(s.w) else {
+                        continue;
+                    };
+                    let prio = ctx.rng().random_range(0..domain);
+                    self.slots[p].key = key(layer, prio, own);
+                    ctx.send(p, GroupedMsg::Announce { layer, prio });
                 }
                 Status::Active
             }
@@ -293,24 +355,23 @@ impl Protocol for GroupedLrMatching {
                 // Phase 2 — record announcements, exchange exclude-maxima.
                 for (port, msg) in inbox {
                     if let GroupedMsg::Announce { layer, prio } = msg {
-                        // Tiebreak: the primary's id — both endpoints
-                        // derive the identical value (the primary is the
-                        // smaller-id endpoint, i.e. the sender here).
                         let tie = u64::from(ctx.neighbor(port).0);
-                        self.slots[port].tuple = (layer, prio, tie);
+                        self.slots[port].key = key(layer, prio, tie);
                     }
                 }
-                // Primaries normalize their own tiebreak the same way so
-                // both sides compare identical tuples.
-                for p in 0..self.slots.len() {
-                    if self.slots[p].state == EdgeState::Remaining && Self::is_primary(ctx, p) {
-                        let (l, pr, _) = self.slots[p].tuple;
-                        self.slots[p].tuple = (l, pr, u64::from(ctx.id().0));
+                // Primaries set their own tiebreak the same way, also on
+                // edges that announced nothing, so both sides compare
+                // identical tuples.
+                let own = u64::from(ctx.id().0);
+                for s in self.slots.iter_mut() {
+                    if s.state == EdgeState::Remaining && s.has(PRIMARY) {
+                        s.key = s.key & !TIE_MASK | own;
                     }
                 }
+                let top = self.top_two();
                 for p in 0..self.slots.len() {
                     if self.slots[p].state == EdgeState::Remaining {
-                        let ex = self.exclude_max(p);
+                        let ex = Self::exclude_max(top, p).map(tuple);
                         ctx.send(p, GroupedMsg::ExcludeMax(ex));
                     }
                 }
@@ -318,24 +379,25 @@ impl Protocol for GroupedLrMatching {
             }
             2 => {
                 // Phase 3 — decide wins, exchange reduction sums.
-                for (port, msg) in inbox {
+                let top = self.top_two();
+                for (p, msg) in inbox {
                     if let GroupedMsg::ExcludeMax(remote) = msg {
-                        let p = port;
-                        if self.slots[p].state != EdgeState::Remaining {
+                        let s = &mut self.slots[p];
+                        if s.state != EdgeState::Remaining {
                             continue;
                         }
-                        let mine = self.exclude_max(p);
-                        let t = self.slots[p].tuple;
-                        let beats = |other: &Option<(u32, u64, u64)>| match other {
-                            None => true,
-                            Some(o) => t > *o,
-                        };
-                        self.slots[p].won = beats(&mine) && beats(&remote);
+                        let mine = Self::exclude_max(top, p);
+                        let remote = remote.map(|(l, pr, t)| key(l, pr, t));
+                        let won =
+                            mine.is_none_or(|m| s.key > m) && remote.is_none_or(|r| s.key > r);
+                        s.set(WON, won);
                     }
                 }
+                let total = self.winner_total();
                 for p in 0..self.slots.len() {
-                    if self.slots[p].state == EdgeState::Remaining {
-                        let sum = self.exclude_winner_sum(p);
+                    let s = self.slots[p];
+                    if s.state == EdgeState::Remaining {
+                        let sum = total.wrapping_sub(s.won_weight());
                         ctx.send(p, GroupedMsg::ReduceSum(sum));
                     }
                 }
@@ -343,137 +405,110 @@ impl Protocol for GroupedLrMatching {
             }
             _ => {
                 // Phase 4 — apply reductions symmetrically, classify, and
-                // run the resolve handshake for candidates.
-                for (port, msg) in inbox {
+                // run the resolve handshake for candidates. A loser's
+                // local sum is the whole winner total; winners keep
+                // their weight until they turn candidate.
+                let total = self.winner_total();
+                for (p, msg) in inbox {
                     if let GroupedMsg::ReduceSum(remote_sum) = msg {
-                        let p = port;
-                        if self.slots[p].state != EdgeState::Remaining {
+                        let s = &mut self.slots[p];
+                        if s.state == EdgeState::Remaining && !s.has(WON) {
+                            s.w -= (total + remote_sum) as i64;
+                        }
+                    }
+                }
+                // Classification after reductions, counting what a wait-set
+                // can still hold: remaining edges, and the newest candidacy.
+                let mut remaining = 0usize;
+                let mut newest = 0u32;
+                for s in self.slots.iter_mut() {
+                    if s.state == EdgeState::Remaining {
+                        if s.has(WON) {
+                            s.state = EdgeState::Candidate;
+                            s.set(WON, false);
+                            s.w = 0;
+                            self.candidacies += 1;
+                            s.joined = self.candidacies;
+                        } else if s.w <= 0 {
+                            s.state = EdgeState::Dead;
+                        }
+                    }
+                    match s.state {
+                        EdgeState::Remaining => remaining += 1,
+                        EdgeState::Candidate => newest = newest.max(s.joined),
+                        EdgeState::Matched | EdgeState::Dead => {}
+                    }
+                }
+                // Per candidate: build its wait-set right after it wins
+                // (or, on fault paths, when an announcement rewrote the key
+                // of a candidate whose set had cleared), prune it, and
+                // match it once both sides are clear.
+                let mut matched = false;
+                for s in self.slots.iter_mut() {
+                    if s.state != EdgeState::Candidate {
+                        continue;
+                    }
+                    if !s.has(WAITING) && !s.has(KILLED) && s.w == 0 && s.key != 0 {
+                        s.stamp = self.candidacies;
+                        s.key = 0; // build once
+                        s.set(WAITING, true);
+                    }
+                    // The set built at `stamp` holds the edges remaining
+                    // then; those still unresolved are every remaining edge
+                    // and every candidate that joined after `stamp`.
+                    if s.has(WAITING) && remaining == 0 && newest <= s.stamp {
+                        s.set(WAITING, false);
+                    }
+                    if s.has(KILLED) {
+                        s.state = EdgeState::Dead;
+                    } else if !s.has(WAITING) && s.has(REMOTE_CLEAR) {
+                        s.state = EdgeState::Matched;
+                        matched = true;
+                    }
+                }
+                // A match kills every other live edge here (locally), then
+                // the resolve handshake goes out for the next cycle.
+                let mut done = true;
+                let mut mate = None;
+                for p in 0..self.slots.len() {
+                    let s = &mut self.slots[p];
+                    if matched && matches!(s.state, EdgeState::Remaining | EdgeState::Candidate) {
+                        s.flags |= KILLED;
+                        if s.state == EdgeState::Remaining {
+                            s.state = EdgeState::Dead;
+                        }
+                    }
+                    let msg = match s.state {
+                        EdgeState::Remaining => {
+                            done = false;
                             continue;
                         }
-                        let local_sum = self.exclude_winner_sum(p);
-                        if self.slots[p].won {
-                            // Winner: becomes a candidate, waits for the
-                            // surviving neighbors at this endpoint.
-                            continue;
-                        }
-                        self.slots[p].w -= (local_sum + remote_sum) as i64;
-                    }
-                }
-                // Classification after reductions.
-                let mut resolved_ports: Vec<Port> = Vec::new();
-                for p in 0..self.slots.len() {
-                    if self.slots[p].state != EdgeState::Remaining {
-                        continue;
-                    }
-                    if self.slots[p].won {
-                        self.slots[p].state = EdgeState::Candidate;
-                        self.slots[p].won = false;
-                        self.slots[p].w = 0;
-                        // Wait-set: incident remaining edges that survive
-                        // this cycle's reductions (computed after the pass
-                        // below — collect remaining first).
-                        self.slots[p].waiting_on.clear();
-                    } else if self.slots[p].w <= 0 {
-                        self.slots[p].state = EdgeState::Dead;
-                        resolved_ports.push(p);
-                    }
-                }
-                // Build wait-sets for the fresh candidates: remaining
-                // incident edges (post-classification).
-                let remaining: Vec<Port> = (0..self.slots.len())
-                    .filter(|&p| self.slots[p].state == EdgeState::Remaining)
-                    .collect();
-                for p in 0..self.slots.len() {
-                    if self.slots[p].state == EdgeState::Candidate
-                        && self.slots[p].waiting_on.is_empty()
-                        && !self.slots[p].killed
-                    {
-                        // (Re)build only right after winning; an existing
-                        // candidate's list shrinks via resolution below.
-                        if self.slots[p].w == 0 && self.slots[p].tuple != (0, 0, 0) {
-                            self.slots[p].waiting_on = remaining.clone();
-                            self.slots[p].tuple = (0, 0, 0); // build once
-                        }
-                    }
-                }
-                // Drop resolved ports from all wait-sets.
-                for p in 0..self.slots.len() {
-                    let dead: Vec<Port> = self.slots[p]
-                        .waiting_on
-                        .iter()
-                        .copied()
-                        .filter(|&q| {
-                            matches!(self.slots[q].state, EdgeState::Dead | EdgeState::Matched)
-                        })
-                        .collect();
-                    self.slots[p].waiting_on.retain(|q| !dead.contains(q));
-                }
-                // Candidates whose both sides are clear join the matching.
-                let mut newly_matched: Vec<Port> = Vec::new();
-                for p in 0..self.slots.len() {
-                    if self.slots[p].state != EdgeState::Candidate {
-                        continue;
-                    }
-                    if self.slots[p].killed {
-                        self.slots[p].state = EdgeState::Dead;
-                        continue;
-                    }
-                    if self.slots[p].waiting_on.is_empty() && self.slots[p].remote_clear {
-                        newly_matched.push(p);
-                    }
-                }
-                for &p in &newly_matched {
-                    self.slots[p].state = EdgeState::Matched;
-                    // Kill every other incident edge locally.
-                    for q in 0..self.slots.len() {
-                        if q != p
-                            && matches!(
-                                self.slots[q].state,
-                                EdgeState::Remaining | EdgeState::Candidate
-                            )
-                        {
-                            self.slots[q].killed = true;
-                            if self.slots[q].state == EdgeState::Remaining {
-                                self.slots[q].state = EdgeState::Dead;
+                        EdgeState::Candidate => {
+                            done = false;
+                            GroupedMsg::Resolve {
+                                side_clear: !s.has(WAITING),
+                                killed: s.has(KILLED),
                             }
                         }
-                    }
-                }
-                // Send the resolve handshake for next cycle.
-                for p in 0..self.slots.len() {
-                    match self.slots[p].state {
-                        EdgeState::Candidate => {
-                            let side_clear = self.slots[p].waiting_on.is_empty();
-                            let killed = self.slots[p].killed;
-                            ctx.send(p, GroupedMsg::Resolve { side_clear, killed });
-                        }
                         EdgeState::Matched => {
-                            ctx.send(
-                                p,
-                                GroupedMsg::Resolve {
-                                    side_clear: true,
-                                    killed: false,
-                                },
-                            );
+                            mate.get_or_insert(p);
+                            GroupedMsg::Resolve {
+                                side_clear: true,
+                                killed: false,
+                            }
                         }
-                        EdgeState::Dead => {
-                            // One last notification so the far endpoint
-                            // can settle its own records; harmless if
-                            // repeated (idempotent).
-                            ctx.send(
-                                p,
-                                GroupedMsg::Resolve {
-                                    side_clear: false,
-                                    killed: self.slots[p].killed,
-                                },
-                            );
-                        }
-                        EdgeState::Remaining => {}
-                    }
+                        // One last notification so the far endpoint can
+                        // settle its own records; harmless if repeated
+                        // (idempotent).
+                        EdgeState::Dead => GroupedMsg::Resolve {
+                            side_clear: false,
+                            killed: s.has(KILLED),
+                        },
+                    };
+                    ctx.send(p, msg);
                 }
-                if self.all_done() {
-                    let mate = self.matched_port().map(|p| (p as u32, ctx.neighbor(p)));
-                    return Status::Halt(mate);
+                if done {
+                    return Status::Halt(mate.map(|p| (p as u32, ctx.neighbor(p))));
                 }
                 Status::Active
             }

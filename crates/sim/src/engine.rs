@@ -1029,7 +1029,6 @@ impl<'g, P: Protocol> Engine<'g, P> {
             self.graph.num_nodes()
         );
         let shards = partition.shards();
-        let cross_shard_edges = partition.cross_shard_edges(self.graph);
         if shards == 1 {
             // One shard is the sequential engine; nothing crosses.
             return ShardedRun {
@@ -1039,6 +1038,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 cross_shard_messages: 0,
             };
         }
+        let cross_shard_edges = partition.cross_shard_edges(self.graph);
         // Never inline (cutoff 0), so every message is metered against
         // its sender's shard. The whole piece belongs to shard `s`, so
         // only the receiver's side needs a lookup.
