@@ -1,26 +1,37 @@
 //! Delta-overlay mutation for the immutable CSR [`Graph`].
 //!
 //! Production graphs churn; the flat CSR core does not. [`DeltaGraph`]
-//! bridges the two: it wraps a base [`Graph`] and absorbs
+//! bridges the two: it holds a **canonical** base [`Graph`] behind an
+//! [`Arc`] — edge ids in lexicographic `(min, max)` endpoint order, the
+//! one layout a graph's edge set and weights determine — and absorbs
 //! `insert_edge` / `remove_edge` / `add_node` / `remove_node` into a
-//! **sorted delta log** (a `BTreeMap` keyed by directed endpoint pair, so
-//! a node's inserted neighbors are one contiguous range), with removed
+//! **sorted delta** (a `BTreeMap` keyed by directed endpoint pair, so a
+//! node's inserted neighbors are one contiguous range), with removed
 //! node slots parked on a free list and reused by later joins. Overlay
 //! reads (`has_edge`, `neighbors`, `degree`, …) see base ∖ removals ∪
-//! insertions; [`compact`](DeltaGraph::compact) rebuilds a flat CSR
-//! `Graph` from that view in `O(n + m)` (plus the delta-log range scans),
-//! preserving slot ids — a removed slot survives as an isolated weight-0
-//! node until a join reclaims it, so node ids stay stable across
-//! compactions and the simulator's dense id space never fragments.
+//! insertions. Slot ids are stable: a removed slot survives as an
+//! isolated weight-0 node until a join reclaims it, so the simulator's
+//! dense id space never fragments.
+//!
+//! [`fold`](DeltaGraph::fold) splices the pending delta into the base
+//! in place and empties the delta: one sequential pass that moves each
+//! surviving run of the CSR arrays by its shift (a `memmove`), shifts
+//! the edge ids and mirror slots they hold, and writes the `k` new
+//! entries — `O(n + m + k log k)` with no per-node allocation, and no
+//! copy of the base unless a clone still shares it.
+//! [`compact`](DeltaGraph::compact) is the same splice applied to a copy.
+//! Because the base stays canonical, both produce exactly the graph a
+//! from-scratch build of the view's edges in lexicographic order would.
 //!
 //! The **fingerprint contract** makes "overlay reads ≡ compacted reads"
-//! checkable in one comparison: [`DeltaGraph::fingerprint`] and
-//! [`Graph::fingerprint`] walk their adjacency in the identical order
-//! (slot id, weight, degree, then `(neighbor, edge weight)` pairs in
-//! ascending neighbor order) through the same FNV-1a fold, so
-//! `dg.fingerprint() == dg.compact().fingerprint()` holds for every
-//! mutation history — and is proptested across gnp / Watts–Strogatz /
-//! power-law-cluster histories in `tests/tests/delta_overlay.rs`.
+//! checkable in one comparison: a fingerprint is a wrapping sum of
+//! 64-bit mixes, one per slot `(v, weight)` and one per edge
+//! `(u, v, weight)`, finished with the slot count. The overlay keeps
+//! the sum current in `O(1)` per mutation, and [`Graph::fingerprint`]
+//! computes it in one pass, so `dg.fingerprint() ==
+//! dg.compact().fingerprint()` holds for every mutation history — and
+//! is proptested across gnp / Watts–Strogatz / power-law-cluster
+//! histories in `tests/tests/delta_overlay.rs`.
 //!
 //! Every mutation is also appended to a [`DeltaSet`] — the currency the
 //! incremental repair variants (`congest_mis::luby_repair`,
@@ -28,22 +39,38 @@
 //! damaged region — drained by [`take_log`](DeltaGraph::take_log).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-use crate::{EdgeId, Graph, GraphBuilder, NodeId};
+use crate::{EdgeId, Graph, NodeId};
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// splitmix64's finalizer: a bijective 64-bit mix.
+const fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
-/// Folds one `u64` into an FNV-1a accumulator, byte by byte (LE).
+/// Domain seeds keeping slot, edge and slot-count mixes apart.
+const SLOT_SEED: u64 = mix(1);
+const EDGE_SEED: u64 = mix(2);
+const COUNT_SEED: u64 = mix(3);
+
+/// Fingerprint term of slot `v` with weight `w`.
 #[inline]
-fn fnv1a(mut h: u64, x: u64) -> u64 {
-    for b in x.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+fn slot_term(v: u32, w: u64) -> u64 {
+    mix(mix(SLOT_SEED ^ u64::from(v)) ^ w)
+}
+
+/// Fingerprint term of edge `{u, v}` (`u < v`) with weight `w`.
+#[inline]
+fn edge_term(u: u32, v: u32, w: u64) -> u64 {
+    mix(mix(EDGE_SEED ^ (u64::from(u) << 32 | u64::from(v))) ^ w)
+}
+
+/// The fingerprint of a term sum over `slots` slots.
+#[inline]
+fn finish(sum: u64, slots: usize) -> u64 {
+    mix(mix(COUNT_SEED ^ slots as u64) ^ sum)
 }
 
 /// A batch of topology mutations, in application order — the damage
@@ -51,7 +78,7 @@ fn fnv1a(mut h: u64, x: u64) -> u64 {
 ///
 /// Endpoint pairs are stored `(u, v)` with `u < v` (the undirected-edge
 /// convention of [`Graph::endpoints`]). Edge ids are deliberately absent:
-/// they are not stable across [`DeltaGraph::compact`] (removals shift
+/// they are not stable across a [`DeltaGraph::fold`] (removals shift
 /// every later id), so deltas speak in endpoints.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaSet {
@@ -91,57 +118,64 @@ impl DeltaSet {
     }
 }
 
-/// A mutable overlay over an immutable CSR [`Graph`] (see the module
+/// A mutable overlay over a canonical CSR [`Graph`] (see the module
 /// docs for the design).
 ///
 /// Slot space: ids `0..num_slots()` cover the base graph's nodes plus
 /// any appended ones; [`is_alive`](Self::is_alive) distinguishes live
 /// slots from removed ones awaiting reuse. All edge queries take
 /// endpoint pairs — overlay edges have no stable [`EdgeId`] until the
-/// next [`compact`](Self::compact).
+/// next [`fold`](Self::fold). Cloning copies the pending delta and the
+/// free list, not the graph: the base is shared until one side folds.
 #[derive(Clone, Debug)]
 pub struct DeltaGraph {
-    base: Graph,
+    /// Canonical as of the last fold (edge ids in `(min, max)` order).
+    base: Arc<Graph>,
     /// Inserted edges, keyed by *directed* pair — both `(u, v)` and
     /// `(v, u)` are present, mapping to the edge weight, so the inserted
     /// neighbors of `v` are the contiguous range `(v, 0)..=(v, MAX)`.
     inserted: BTreeMap<(u32, u32), u64>,
     /// Removed base edges, same both-directions convention.
     removed: BTreeSet<(u32, u32)>,
-    /// Liveness per slot; removed slots keep their id until reused.
-    alive: Vec<bool>,
-    /// Removed slots available for reuse, smallest first.
+    /// Node weights that differ from the base's, and those of appended
+    /// slots (0 for removed slots).
+    weights: BTreeMap<u32, u64>,
+    /// Number of slots, live and removed.
+    slots: usize,
+    /// Removed slots, which keep their id until a join reuses the
+    /// smallest.
     free_slots: BTreeSet<u32>,
-    /// Current node weight per slot (0 for dead slots).
-    node_weights: Vec<u64>,
     /// Live-edge count under the overlay view.
     live_edges: usize,
+    /// Wrapping sum of the view's slot and edge terms.
+    term_sum: u64,
     /// Mutations since the last [`take_log`](Self::take_log).
     log: DeltaSet,
 }
 
 impl DeltaGraph {
-    /// Wraps `base` with an empty delta log.
-    pub fn new(base: Graph) -> Self {
-        let n = base.num_nodes();
-        let live_edges = base.num_edges();
-        let node_weights = base.node_weights().to_vec();
+    /// Wraps `base` with an empty delta, first renumbering its edge ids
+    /// into lexicographic order if they are not already (`O(n + m)`,
+    /// once).
+    pub fn new(mut base: Graph) -> Self {
+        canonicalize(&mut base);
         DeltaGraph {
-            base,
             inserted: BTreeMap::new(),
             removed: BTreeSet::new(),
-            alive: vec![true; n],
+            weights: BTreeMap::new(),
+            slots: base.num_nodes(),
             free_slots: BTreeSet::new(),
-            node_weights,
-            live_edges,
+            live_edges: base.num_edges(),
+            term_sum: term_sum(&base),
             log: DeltaSet::default(),
+            base: Arc::new(base),
         }
     }
 
     /// Number of node slots (live + removed-awaiting-reuse).
     #[inline]
     pub fn num_slots(&self) -> usize {
-        self.alive.len()
+        self.slots
     }
 
     /// Number of live nodes.
@@ -162,13 +196,13 @@ impl DeltaGraph {
     #[inline]
     pub fn is_alive(&self, v: NodeId) -> bool {
         self.check_slot("is_alive", v);
-        self.alive[v.index()]
+        !self.free_slots.contains(&v.0)
     }
 
     /// Weight of the node in slot `v` (0 for removed slots).
     pub fn node_weight(&self, v: NodeId) -> u64 {
         self.check_slot("node_weight", v);
-        self.node_weights[v.index()]
+        self.weight_of(v)
     }
 
     /// Sets the weight of the live node in slot `v`.
@@ -177,7 +211,7 @@ impl DeltaGraph {
     /// Panics if `v` is out of range or removed.
     pub fn set_node_weight(&mut self, v: NodeId, w: u64) {
         self.check_live("set_node_weight", v);
-        self.node_weights[v.index()] = w;
+        self.set_slot_weight(v, w);
     }
 
     /// Whether the overlay currently has edge `{u, v}`.
@@ -265,7 +299,9 @@ impl DeltaGraph {
         self.inserted.insert((u.0, v.0), w);
         self.inserted.insert((v.0, u.0), w);
         self.live_edges += 1;
-        self.log.inserted.push(ordered(u, v));
+        let (a, b) = ordered(u, v);
+        self.term_sum = self.term_sum.wrapping_add(edge_term(a.0, b.0, w));
+        self.log.inserted.push((a, b));
     }
 
     /// Removes edge `{u, v}` from the overlay.
@@ -278,6 +314,7 @@ impl DeltaGraph {
             self.has_edge(u, v),
             "DeltaGraph::remove_edge: edge {u}–{v} not present"
         );
+        let w = self.edge_weight(u, v).expect("a present edge has a weight");
         if self.inserted.remove(&(u.0, v.0)).is_some() {
             self.inserted.remove(&(v.0, u.0));
         }
@@ -289,7 +326,9 @@ impl DeltaGraph {
             self.removed.insert((v.0, u.0));
         }
         self.live_edges -= 1;
-        self.log.removed.push(ordered(u, v));
+        let (a, b) = ordered(u, v);
+        self.term_sum = self.term_sum.wrapping_sub(edge_term(a.0, b.0, w));
+        self.log.removed.push((a, b));
     }
 
     /// Adds a node with weight `w`, reusing the smallest removed slot if
@@ -297,14 +336,16 @@ impl DeltaGraph {
     pub fn add_node(&mut self, w: u64) -> NodeId {
         let v = match self.free_slots.pop_first() {
             Some(slot) => {
-                self.alive[slot as usize] = true;
-                self.node_weights[slot as usize] = w;
-                NodeId(slot)
+                let v = NodeId(slot);
+                self.set_slot_weight(v, w);
+                v
             }
             None => {
-                self.alive.push(true);
-                self.node_weights.push(w);
-                NodeId(self.alive.len() as u32 - 1)
+                let v = NodeId(self.slots as u32);
+                self.slots += 1;
+                self.weights.insert(v.0, w);
+                self.term_sum = self.term_sum.wrapping_add(slot_term(v.0, w));
+                v
             }
         };
         self.log.joined.push(v);
@@ -322,8 +363,7 @@ impl DeltaGraph {
         for (u, _) in self.neighbors(v) {
             self.remove_edge(v, u);
         }
-        self.alive[v.index()] = false;
-        self.node_weights[v.index()] = 0;
+        self.set_slot_weight(v, 0);
         self.free_slots.insert(v.0);
         self.log.left.push(v);
     }
@@ -334,49 +374,75 @@ impl DeltaGraph {
         std::mem::take(&mut self.log)
     }
 
-    /// Rebuilds a flat CSR [`Graph`] from the overlay view in `O(n + m)`
-    /// (plus the delta-log range scans). Slot ids are preserved: removed
-    /// slots become isolated weight-0 nodes, so node ids mean the same
-    /// thing before and after compaction.
+    /// The base graph as of the last [`fold`](Self::fold) (or
+    /// construction), in canonical form. Right after a fold it *is* the
+    /// overlay view, equal to [`compact`](Self::compact).
+    pub fn base(&self) -> &Graph {
+        &self.base
+    }
+
+    /// Splices the pending delta, node weights and appended slots
+    /// included, into the base in place and empties it (see the module
+    /// docs). The base is copied first only if a clone of this overlay
+    /// still shares it.
+    pub fn fold(&mut self) {
+        let base = Arc::make_mut(&mut self.base);
+        splice(
+            base,
+            &self.inserted,
+            &self.removed,
+            &self.weights,
+            self.slots,
+        );
+        debug_assert_eq!(base.num_edges(), self.live_edges);
+        self.inserted.clear();
+        self.removed.clear();
+        self.weights.clear();
+    }
+
+    /// The overlay view as a canonical CSR [`Graph`]: a copy of the base
+    /// with the pending delta spliced in, exactly as
+    /// [`fold`](Self::fold) would leave it. Slot ids are preserved:
+    /// removed slots become isolated weight-0 nodes, so node ids mean
+    /// the same thing before and after compaction.
     pub fn compact(&self) -> Graph {
-        let n = self.num_slots();
-        let mut b = GraphBuilder::with_nodes(n);
-        for v in 0..n {
-            b.set_node_weight(NodeId(v as u32), self.node_weights[v]);
-        }
-        for v in 0..n as u32 {
-            for (u, w) in self.neighbors(NodeId(v)) {
-                // Each undirected edge is emitted exactly once (from its
-                // smaller endpoint), so the dedup-free fast path is safe.
-                if v < u.0 {
-                    let e = b.add_edge_unchecked(NodeId(v), u);
-                    b.set_edge_weight(e, w);
-                }
-            }
-        }
-        let g = b.build();
+        let mut g = Graph::clone(&self.base);
+        splice(
+            &mut g,
+            &self.inserted,
+            &self.removed,
+            &self.weights,
+            self.slots,
+        );
         debug_assert_eq!(g.num_edges(), self.live_edges);
         g
     }
 
-    /// FNV-1a fingerprint of the overlay view — defined to walk the
-    /// identical sequence as [`Graph::fingerprint`] on the compacted
-    /// graph, which is the machine-checkable form of "overlay reads ≡
-    /// compacted reads": `dg.fingerprint() == dg.compact().fingerprint()`
-    /// for every mutation history.
+    /// Fingerprint of the overlay view in `O(1)`: every mutation keeps
+    /// the term sum current, and it is defined exactly as
+    /// [`Graph::fingerprint`], which is the machine-checkable form of
+    /// "overlay reads ≡ compacted reads": `dg.fingerprint() ==
+    /// dg.compact().fingerprint()` for every mutation history.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.num_slots() as u64);
-        for v in 0..self.num_slots() as u32 {
-            let v = NodeId(v);
-            h = fnv1a(h, self.node_weights[v.index()]);
-            let row = self.neighbors(v);
-            h = fnv1a(h, row.len() as u64);
-            for (u, w) in row {
-                h = fnv1a(h, u64::from(u.0));
-                h = fnv1a(h, w);
-            }
+        finish(self.term_sum, self.num_slots())
+    }
+
+    /// Slot `v`'s current weight.
+    fn weight_of(&self, v: NodeId) -> u64 {
+        match self.weights.get(&v.0) {
+            Some(&w) => w,
+            None => self.base.node_weights[v.index()],
         }
-        h
+    }
+
+    /// Sets slot `v`'s weight, keeping the term sum current.
+    fn set_slot_weight(&mut self, v: NodeId, w: u64) {
+        let old = self.weight_of(v);
+        self.weights.insert(v.0, w);
+        self.term_sum = self
+            .term_sum
+            .wrapping_sub(slot_term(v.0, old))
+            .wrapping_add(slot_term(v.0, w));
     }
 
     /// Panics if `v` is outside the slot space, naming `method`.
@@ -392,7 +458,7 @@ impl DeltaGraph {
     fn check_live(&self, method: &str, v: NodeId) {
         self.check_slot(method, v);
         assert!(
-            self.alive[v.index()],
+            !self.free_slots.contains(&v.0),
             "DeltaGraph::{method}: node {v} is removed"
         );
     }
@@ -426,23 +492,281 @@ impl DeltaGraph {
 }
 
 impl Graph {
-    /// FNV-1a fingerprint of the adjacency structure and weights: slot
-    /// count, then per node its weight, degree, and `(neighbor, edge
-    /// weight)` pairs in ascending neighbor order — the identical walk
-    /// as [`DeltaGraph::fingerprint`], which is what makes the overlay's
+    /// Fingerprint of the structure and weights in one pass: the
+    /// wrapping sum of one 64-bit mix per node `(v, weight)` and one per
+    /// edge `(u, v, weight)`, finished with the node count. Edge ids and
+    /// storage order do not enter it, and it is defined exactly as
+    /// [`DeltaGraph::fingerprint`], which is what makes the overlay's
     /// read-equivalence contract one `u64` comparison.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.num_nodes() as u64);
-        for v in self.nodes() {
-            h = fnv1a(h, self.node_weight(v));
-            h = fnv1a(h, self.degree(v) as u64);
-            for (u, e) in self.neighbors(v) {
-                h = fnv1a(h, u64::from(u.0));
-                h = fnv1a(h, self.edge_weight(e));
+        finish(term_sum(self), self.num_nodes())
+    }
+}
+
+/// Wrapping sum of `g`'s slot and edge terms.
+fn term_sum(g: &Graph) -> u64 {
+    let slots = (0..).zip(&g.node_weights).map(|(v, &w)| slot_term(v, w));
+    let edges = g
+        .edges
+        .iter()
+        .zip(&g.edge_weights)
+        .map(|(&(u, v), &w)| edge_term(u.0, v.0, w));
+    slots.chain(edges).fold(0, u64::wrapping_add)
+}
+
+/// Renumbers `g`'s edge ids into lexicographic `(min, max)` order, the
+/// order a row-by-row walk of the upper neighbors visits them in. Rows,
+/// mirror slots and per-port weights do not depend on edge ids, so only
+/// the edge tables and `neighbor_edges` change.
+fn canonicalize(g: &mut Graph) {
+    if g.edges.windows(2).all(|w| w[0] < w[1]) {
+        return;
+    }
+    let mut new_of_old = vec![0u32; g.num_edges()];
+    let mut edges = Vec::with_capacity(g.num_edges());
+    let mut edge_weights = Vec::with_capacity(g.num_edges());
+    for v in 0..g.num_nodes() {
+        let row = g.row_offsets[v] as usize..g.row_offsets[v + 1] as usize;
+        for (&u, &e) in g.neighbor_ids[row.clone()]
+            .iter()
+            .zip(&g.neighbor_edges[row])
+        {
+            if u.index() > v {
+                new_of_old[e.index()] = edges.len() as u32;
+                edges.push((NodeId(v as u32), u));
+                edge_weights.push(g.edge_weights[e.index()]);
             }
         }
-        h
     }
+    for e in &mut g.neighbor_edges {
+        *e = EdgeId(new_of_old[e.index()]);
+    }
+    g.edges = edges;
+    g.edge_weights = edge_weights;
+}
+
+/// Up to this many runs, [`Splice::remap`] makes one vectorized pass per
+/// shift step; beyond, its one table lookup per index is cheaper. On a
+/// 20k-node graph the two break even at about 11 to 13 runs.
+const PASS_STEPS: usize = 8;
+/// Old indices per block of [`Splice`]'s shift table. Smaller blocks
+/// leave fewer indices to the run search where edits split a block: on
+/// 20k-node folds of 16, 32 and 128 edge ops, 64 took 16%, 30% and 50%
+/// less time than 256.
+const BLOCK: usize = 64;
+
+/// Where a splice removes and inserts entries of one sorted array, as
+/// the shift of each surviving run.
+struct Splice {
+    /// Surviving runs `(start, end, shift)` of the old array, in order:
+    /// old index `i` in `start..end` moves to `i + shift`.
+    runs: Vec<(usize, usize, isize)>,
+    /// Beyond [`PASS_STEPS`] runs, the shift shared by every old index
+    /// of each block of [`BLOCK`] indices, or `None` where an edit splits
+    /// the block.
+    block_shift: Vec<Option<isize>>,
+    /// New index of each inserted entry, in edit order.
+    inserted_at: Vec<usize>,
+    new_len: usize,
+}
+
+impl Splice {
+    /// Plans `edits` on an array of `len` entries: `(pos, true)` inserts
+    /// an entry before old index `pos`, `(pos, false)` removes old index
+    /// `pos`. Edits come sorted by position, inserts before the removal
+    /// at the same position.
+    fn plan(len: usize, edits: impl Iterator<Item = (usize, bool)>) -> Splice {
+        let mut runs = Vec::new();
+        let mut inserted_at = Vec::new();
+        let (mut start, mut shift) = (0, 0isize);
+        for (pos, insert) in edits {
+            debug_assert!(start <= pos && pos <= len, "splice edits out of order");
+            if start < pos {
+                runs.push((start, pos, shift));
+            }
+            if insert {
+                inserted_at.push(pos.wrapping_add_signed(shift));
+                shift += 1;
+                start = pos;
+            } else {
+                shift -= 1;
+                start = pos + 1;
+            }
+        }
+        if start < len {
+            runs.push((start, len, shift));
+        }
+        let mut block_shift = Vec::new();
+        if runs.len() > PASS_STEPS {
+            let blocks = len.div_ceil(BLOCK);
+            block_shift.resize(blocks, None);
+            for &(s, e, d) in &runs {
+                // The blocks the run covers whole; none if it is shorter.
+                let whole = s.div_ceil(BLOCK)..if e == len { blocks } else { e / BLOCK };
+                if let Some(whole) = block_shift.get_mut(whole) {
+                    whole.fill(Some(d));
+                }
+            }
+        }
+        Splice {
+            runs,
+            block_shift,
+            inserted_at,
+            new_len: len.wrapping_add_signed(shift),
+        }
+    }
+
+    /// Rewrites every old index `*index(v)` in `values` to its new
+    /// position. Indices of removed entries come out meaningless; no
+    /// surviving entry holds one.
+    ///
+    /// Up to [`PASS_STEPS`] runs, one compare-and-add pass per shift
+    /// step, which vectorizes; beyond, one table lookup per index, and
+    /// a search of the runs where an edit splits its block.
+    fn remap<T>(&self, values: &mut [T], index: impl Fn(&mut T) -> &mut u32) {
+        if self.runs.len() <= PASS_STEPS {
+            // Run `r` starts a step of its shift minus run `r - 1`'s.
+            // Highest step first: after the passes above run `r`, a
+            // surviving index of run `r` or later still lies at or past
+            // run `r`'s old start, since new positions keep the old
+            // order, and an index below it has not moved.
+            for (r, &(start, _, shift)) in self.runs.iter().enumerate().rev() {
+                let below = r.checked_sub(1).map_or(0, |r| self.runs[r].2);
+                if shift == below {
+                    continue;
+                }
+                let (start, step) = (start as u32, shift.wrapping_sub(below) as u32);
+                for v in values.iter_mut() {
+                    let i = index(v);
+                    *i = i.wrapping_add(if *i >= start { step } else { 0 });
+                }
+            }
+            return;
+        }
+        for v in values {
+            let i = index(v);
+            let at = *i as usize;
+            let shift = self
+                .block_shift
+                .get(at / BLOCK)
+                .copied()
+                .flatten()
+                .unwrap_or_else(|| {
+                    let r = self.runs.partition_point(|run| run.0 <= at);
+                    r.checked_sub(1).map_or(0, |r| self.runs[r].2)
+                });
+            *i = at.wrapping_add_signed(shift) as u32;
+        }
+    }
+
+    /// Applies the plan to `v`: moves each surviving run by its shift,
+    /// then fills inserted entry `j` with `value(j)`. Runs that move
+    /// left go first, in order, then runs that move right, in reverse
+    /// order: targets are disjoint and ordered like their sources, so no
+    /// run overwrites one that has yet to move.
+    fn apply<T: Copy + Default>(&self, v: &mut Vec<T>, mut value: impl FnMut(usize) -> T) {
+        v.resize(v.len().max(self.new_len), T::default());
+        let left = self.runs.iter().filter(|r| r.2 < 0);
+        let right = self.runs.iter().rev().filter(|r| r.2 > 0);
+        for &(s, e, d) in left.chain(right) {
+            v.copy_within(s..e, s.wrapping_add_signed(d));
+        }
+        v.truncate(self.new_len);
+        for (j, &at) in self.inserted_at.iter().enumerate() {
+            v[at] = value(j);
+        }
+    }
+}
+
+/// Splices a delta into canonical `g` in place, keeping it canonical:
+/// `inserted`, `removed` and `weights` as [`DeltaGraph`] holds them
+/// (both directions of each edge), and `slots` at least
+/// `g.num_nodes()`, the extra slots appended as empty rows.
+fn splice(
+    g: &mut Graph,
+    inserted: &BTreeMap<(u32, u32), u64>,
+    removed: &BTreeSet<(u32, u32)>,
+    weights: &BTreeMap<u32, u64>,
+    slots: usize,
+) {
+    let slot_end = g.neighbor_ids.len();
+    // Directed edits in (row, neighbor) order; re-inserting a removed
+    // base edge inserts before the removal, at the same position.
+    let mut edits: Vec<((u32, u32), Option<u64>)> = inserted
+        .iter()
+        .map(|(&k, &w)| (k, Some(w)))
+        .chain(removed.iter().map(|&k| (k, None)))
+        .collect();
+    edits.sort_unstable_by_key(|&(k, w)| (k, w.is_none()));
+    // Inserted directed pairs, then their upper halves (`u < v`): the
+    // slot and edge inserts, each in the order its plan numbers them.
+    let ins: Vec<((u32, u32), u64)> = edits.iter().filter_map(|&(k, w)| Some((k, w?))).collect();
+    let upper: Vec<((u32, u32), u64)> = ins.iter().copied().filter(|((u, v), _)| u < v).collect();
+
+    let slot_pos = |(v, u): (u32, u32)| match g.row_offsets.get(v as usize + 1) {
+        Some(&end) => {
+            let start = g.row_offsets[v as usize] as usize;
+            start + g.neighbor_ids[start..end as usize].partition_point(|x| x.0 < u)
+        }
+        None => slot_end,
+    };
+    let slot_plan = Splice::plan(
+        slot_end,
+        edits.iter().map(|&(k, w)| (slot_pos(k), w.is_some())),
+    );
+    let edge_pos = |k: (u32, u32)| g.edges.partition_point(|&(a, b)| (a.0, b.0) < k);
+    let edge_plan = Splice::plan(
+        g.edges.len(),
+        edits
+            .iter()
+            .filter(|((u, v), _)| u < v)
+            .map(|&(k, w)| (edge_pos(k), w.is_some())),
+    );
+
+    let find = |list: &[((u32, u32), u64)], k: (u32, u32)| {
+        list.binary_search_by_key(&k, |&(k, _)| k)
+            .expect("both halves of an inserted edge are pending")
+    };
+    // Surviving entries name slots and edges by old index: shift them
+    // before they move.
+    slot_plan.remap(&mut g.mirror, |s| s);
+    edge_plan.remap(&mut g.neighbor_edges, |e| &mut e.0);
+    slot_plan.apply(&mut g.port_edge_weights, |j| ins[j].1);
+    edge_plan.apply(&mut g.edge_weights, |j| upper[j].1);
+    slot_plan.apply(&mut g.mirror, |j| {
+        let (u, v) = ins[j].0;
+        slot_plan.inserted_at[find(&ins, (v, u))] as u32
+    });
+    slot_plan.apply(&mut g.neighbor_edges, |j| {
+        let (u, v) = ins[j].0;
+        EdgeId(edge_plan.inserted_at[find(&upper, (u.min(v), u.max(v)))] as u32)
+    });
+    edge_plan.apply(&mut g.edges, |j| {
+        (NodeId(upper[j].0 .0), NodeId(upper[j].0 .1))
+    });
+    slot_plan.apply(&mut g.neighbor_ids, |j| NodeId(ins[j].0 .1));
+
+    // Row `v` starts later by the inserts, and earlier by the removals,
+    // in the rows before it; appended rows start empty at the old end.
+    g.row_offsets.resize(slots + 1, slot_end as u32);
+    let mut shift = 0u32;
+    let mut rows = edits.chunk_by(|a, b| a.0 .0 == b.0 .0).peekable();
+    while let Some(row) = rows.next() {
+        for &(_, w) in row {
+            shift = shift.wrapping_add(if w.is_some() { 1 } else { u32::MAX });
+        }
+        let after = row[0].0 .0 as usize + 1;
+        let until = rows.peek().map_or(slots, |next| next[0].0 .0 as usize);
+        for start in &mut g.row_offsets[after..=until] {
+            *start = start.wrapping_add(shift);
+        }
+    }
+
+    g.node_weights.resize(slots, 0);
+    for (&v, &w) in weights {
+        g.node_weights[v as usize] = w;
+    }
+    debug_assert_eq!(g.neighbor_ids.len(), 2 * g.edges.len());
 }
 
 /// Normalizes an endpoint pair to the `(min, max)` convention of
@@ -458,6 +782,7 @@ fn ordered(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
 
     fn path4() -> Graph {
         let mut b = GraphBuilder::with_nodes(4);
@@ -590,6 +915,80 @@ mod tests {
         let dg2 = DeltaGraph::new(g1.clone());
         assert_eq!(dg2.fingerprint(), g1.fingerprint());
         assert_eq!(dg2.compact().fingerprint(), g1.fingerprint());
+    }
+
+    /// Every simple graph on 4 labelled slots with each edge absent or of
+    /// weight 1 or 2 and each node of weight 0 or 1: 3^6 · 2^4 graphs,
+    /// 11,664 distinct fingerprints.
+    #[test]
+    fn fingerprints_separate_every_small_weighted_graph() {
+        let pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+        let mut seen = BTreeSet::new();
+        for edge_states in 0..3u32.pow(6) {
+            for node_bits in 0..16u32 {
+                let mut b = GraphBuilder::with_nodes(4);
+                for v in 0..4 {
+                    b.set_node_weight(NodeId(v), u64::from(node_bits >> v & 1));
+                }
+                let mut state = edge_states;
+                for &(u, v) in &pairs {
+                    if state % 3 > 0 {
+                        b.add_weighted_edge(NodeId(u), NodeId(v), u64::from(state % 3));
+                    }
+                    state /= 3;
+                }
+                assert!(
+                    seen.insert(b.build().fingerprint()),
+                    "collision at edge states {edge_states}, node bits {node_bits}"
+                );
+            }
+        }
+        assert_eq!(seen.len(), 11_664);
+    }
+
+    #[test]
+    fn swapped_edge_weights_and_an_extra_slot_change_the_fingerprint() {
+        let fp = path4().fingerprint();
+        let mut b = GraphBuilder::with_nodes(4);
+        b.add_weighted_edge(NodeId(0), NodeId(1), 7);
+        b.add_weighted_edge(NodeId(1), NodeId(2), 5);
+        b.add_weighted_edge(NodeId(2), NodeId(3), 3);
+        assert_ne!(b.build().fingerprint(), fp, "weights 3, 7 swapped");
+        let mut dg = DeltaGraph::new(path4());
+        dg.add_node(0);
+        assert_ne!(dg.fingerprint(), fp, "an isolated weight-0 slot");
+        assert_eq!(dg.fingerprint(), dg.compact().fingerprint());
+    }
+
+    /// The fold keeps the base canonical whatever order the original
+    /// graph numbered its edges in, and the in-place fold leaves exactly
+    /// what `compact` returns.
+    #[test]
+    fn fold_splices_in_place_and_matches_compact() {
+        let mut b = GraphBuilder::with_nodes(5);
+        b.add_weighted_edge(NodeId(3), NodeId(4), 1);
+        b.add_weighted_edge(NodeId(0), NodeId(2), 2);
+        b.add_weighted_edge(NodeId(1), NodeId(3), 3);
+        let mut dg = DeltaGraph::new(b.build());
+        let endpoints = |g: &Graph| g.edges().map(|e| g.endpoints(e)).collect::<Vec<_>>();
+        assert_eq!(
+            endpoints(dg.base()),
+            [(0, 2), (1, 3), (3, 4)].map(|(u, v)| (NodeId(u), NodeId(v)))
+        );
+        dg.insert_edge(NodeId(2), NodeId(1), 9);
+        dg.remove_edge(NodeId(3), NodeId(4));
+        let v = dg.add_node(6);
+        dg.insert_edge(v, NodeId(0), 8);
+        let compacted = dg.compact();
+        let shared = dg.clone();
+        dg.fold();
+        assert_eq!(dg.base(), &compacted);
+        assert_eq!(
+            endpoints(dg.base()),
+            [(0, 2), (0, 5), (1, 2), (1, 3)].map(|(u, v)| (NodeId(u), NodeId(v)))
+        );
+        assert_eq!(shared.compact(), compacted, "a clone keeps its own base");
+        assert_eq!(dg.fingerprint(), compacted.fingerprint());
     }
 
     // Rejection paths: every panic names the method and the offending

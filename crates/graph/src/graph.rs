@@ -82,7 +82,10 @@ impl From<u32> for EdgeId {
 /// Weights default to `1`. Node weights drive the maximum-weight independent
 /// set algorithms; edge weights drive the maximum-weight matching
 /// algorithms.
-#[derive(Clone, Debug)]
+///
+/// Equality is structural: two graphs are equal when every table
+/// matches, edge ids included.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     /// Row `v` of the CSR arrays is `row_offsets[v] .. row_offsets[v+1]`.
     pub(crate) row_offsets: Vec<u32>,
@@ -346,7 +349,7 @@ impl Graph {
     /// node id. Weights are carried over.
     pub fn induced_subgraph(&self, keep: &[bool]) -> (Graph, Vec<NodeId>) {
         assert_eq!(keep.len(), self.num_nodes(), "keep mask length mismatch");
-        let mut old_of_new = Vec::new();
+        let mut old_of_new = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
         let mut new_of_old = vec![u32::MAX; self.num_nodes()];
         for v in self.nodes() {
             if keep[v.index()] {
@@ -606,9 +609,9 @@ mod tests {
         }
     }
 
-    /// `DeltaGraph::compact` rebuilds through the builder, so its output
-    /// must carry a valid mirror table after every kind of mutation:
-    /// insertions, removals, node joins, and node departures.
+    /// `DeltaGraph::compact` splices the delta into the CSR tables, so
+    /// its output must carry a valid mirror table after every kind of
+    /// mutation: insertions, removals, node joins, and node departures.
     #[test]
     fn mirror_contract_holds_on_compacted_overlays() {
         use crate::{generators, DeltaGraph};

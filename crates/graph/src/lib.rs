@@ -5,11 +5,12 @@
 //!
 //! * [`Graph`] — an immutable simple undirected graph with `u64` node and
 //!   edge weights, built through [`GraphBuilder`].
-//! * [`DeltaGraph`] — a mutable delta overlay over a [`Graph`]
-//!   (insert/remove edges and nodes with slot reuse, `O(n + m)`
-//!   [`compact`](DeltaGraph::compact) back to flat CSR, fingerprint
-//!   contract that overlay reads ≡ compacted reads), the substrate for
-//!   dynamic-graph churn and incremental repair.
+//! * [`DeltaGraph`] — a mutable delta overlay over a canonical [`Graph`]
+//!   (insert/remove edges and nodes with slot reuse, an in-place
+//!   [`fold`](DeltaGraph::fold) back into the CSR tables, an `O(1)`
+//!   fingerprint under the contract that overlay reads ≡ compacted
+//!   reads), the substrate for dynamic-graph churn and incremental
+//!   repair.
 //! * [`generators`] — deterministic and seeded random graph families used by
 //!   the test suite and the benchmark harness (G(n,p), random regular,
 //!   stars, grids, bipartite graphs, preferential attachment, trees, …).

@@ -14,9 +14,10 @@
 //! * [`wire`] — a tiny length-prefixed binary protocol (`std` only, no
 //!   serde): [`Request`], [`Response`], and frame I/O helpers. Decoding
 //!   is panic-free and strict.
-//! * [`MatchingService`] — the core: graph state as a
-//!   [`DeltaGraph`](congest_graph::DeltaGraph) overlay plus compacted
-//!   CSR, canonical answers via the engine's sharded executor
+//! * [`MatchingService`] — the core: graph state as one
+//!   [`DeltaGraph`](congest_graph::DeltaGraph) overlay, folded into its
+//!   CSR base after every batch, canonical answers via the engine's
+//!   sharded executor
 //!   (bit-identical for every shard count), incremental repair of the
 //!   live matching/MIS on every mutation, and
 //!   [`FingerprintCache`](congest_graph::FingerprintCache)-backed

@@ -16,6 +16,11 @@
 //! frames, decodes [`Request`]s (malformed bytes get a
 //! [`Response::Error`], not a dropped connection), and forwards to the
 //! same queue.
+//!
+//! However the worker ends — after [`ServiceServer::shutdown`], or by a
+//! panic in [`MatchingService::handle`] — it closes the queue on the
+//! way out: every queued request fails at once, and so does every
+//! later one, instead of waiting for a worker that is gone.
 
 use std::collections::VecDeque;
 use std::io;
@@ -35,13 +40,34 @@ enum Job {
     Shutdown,
 }
 
+/// The pending jobs, and whether the worker has ended, under one lock.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Set once the worker has ended: no job is queued after that.
+    closed: bool,
+}
+
 struct Shared {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     available: Condvar,
     queue_capacity: usize,
     overloads: AtomicU64,
     batches_served: AtomicU64,
     max_batch_seen: AtomicU64,
+}
+
+impl Shared {
+    fn new(queue_capacity: usize) -> Shared {
+        Shared {
+            queue: Mutex::new(Queue::default()),
+            available: Condvar::new(),
+            queue_capacity: queue_capacity.max(1),
+            overloads: AtomicU64::new(0),
+            batches_served: AtomicU64::new(0),
+            max_batch_seen: AtomicU64::new(0),
+        }
+    }
 }
 
 /// A cloneable handle that submits requests to a running
@@ -54,20 +80,23 @@ pub struct ServiceClient {
 impl ServiceClient {
     /// Submits `req` and waits for its response. Returns
     /// [`Response::Overloaded`] without queueing when admission control
-    /// rejects the request.
+    /// rejects the request, and a worker-terminated
+    /// [`Response::Error`] at once when the worker has ended.
     pub fn request(&self, req: Request) -> Response {
         let (tx, rx) = mpsc::channel();
         {
             let mut q = self.shared.queue.lock().unwrap();
-            if q.len() >= self.shared.queue_capacity {
+            if q.closed {
+                return worker_terminated();
+            }
+            if q.jobs.len() >= self.shared.queue_capacity {
                 self.shared.overloads.fetch_add(1, Ordering::Relaxed);
                 return Response::Overloaded;
             }
-            q.push_back(Job::Request { req, reply: tx });
+            q.jobs.push_back(Job::Request { req, reply: tx });
         }
         self.shared.available.notify_one();
-        rx.recv()
-            .unwrap_or_else(|_| Response::Error("service worker terminated".to_string()))
+        rx.recv().unwrap_or_else(|_| worker_terminated())
     }
 
     /// Requests rejected at admission control so far.
@@ -86,6 +115,27 @@ impl ServiceClient {
     }
 }
 
+/// The answer to a request the worker will never handle.
+fn worker_terminated() -> Response {
+    Response::Error("service worker terminated".to_string())
+}
+
+/// Closes the queue when the worker ends, on return and on unwind alike:
+/// marks it closed and drops every queued job, whose reply channel then
+/// fails the waiting client's `recv`.
+struct CloseOnExit(Arc<Shared>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        // The lock is never held across `handle`, so a panicking worker
+        // cannot have poisoned it; tolerate it anyway, this is the path
+        // that must not fail.
+        let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
+        q.closed = true;
+        q.jobs.clear();
+    }
+}
+
 /// The in-process frontend: a worker thread owning a
 /// [`MatchingService`] and draining a bounded FIFO queue in batches.
 pub struct ServiceServer {
@@ -98,36 +148,32 @@ impl ServiceServer {
     /// from the service's [`ServiceConfig`](crate::ServiceConfig).
     pub fn spawn(mut service: MatchingService) -> ServiceServer {
         let max_batch = service.config().max_batch.max(1);
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            queue_capacity: service.config().queue_capacity.max(1),
-            overloads: AtomicU64::new(0),
-            batches_served: AtomicU64::new(0),
-            max_batch_seen: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(service.config().queue_capacity));
         let worker_shared = Arc::clone(&shared);
-        let worker = thread::spawn(move || loop {
-            let batch: Vec<Job> = {
-                let mut q = worker_shared.queue.lock().unwrap();
-                while q.is_empty() {
-                    q = worker_shared.available.wait(q).unwrap();
-                }
-                let take = q.len().min(max_batch);
-                q.drain(..take).collect()
-            };
-            worker_shared.batches_served.fetch_add(1, Ordering::Relaxed);
-            worker_shared
-                .max_batch_seen
-                .fetch_max(batch.len() as u64, Ordering::Relaxed);
-            service.set_overload_rejections(worker_shared.overloads.load(Ordering::Relaxed));
-            for job in batch {
-                match job {
-                    Job::Shutdown => return service,
-                    Job::Request { req, reply } => {
-                        // A disconnected reply channel (client gave up)
-                        // is fine; the state change still applies.
-                        let _ = reply.send(service.handle(&req));
+        let worker = thread::spawn(move || {
+            let _close = CloseOnExit(Arc::clone(&worker_shared));
+            loop {
+                let batch: Vec<Job> = {
+                    let mut q = worker_shared.queue.lock().unwrap();
+                    while q.jobs.is_empty() {
+                        q = worker_shared.available.wait(q).unwrap();
+                    }
+                    let take = q.jobs.len().min(max_batch);
+                    q.jobs.drain(..take).collect()
+                };
+                worker_shared.batches_served.fetch_add(1, Ordering::Relaxed);
+                worker_shared
+                    .max_batch_seen
+                    .fetch_max(batch.len() as u64, Ordering::Relaxed);
+                service.set_overload_rejections(worker_shared.overloads.load(Ordering::Relaxed));
+                for job in batch {
+                    match job {
+                        Job::Shutdown => return service,
+                        Job::Request { req, reply } => {
+                            // A disconnected reply channel (client gave up)
+                            // is fine; the state change still applies.
+                            let _ = reply.send(service.handle(&req));
+                        }
                     }
                 }
             }
@@ -149,7 +195,7 @@ impl ServiceServer {
     pub fn shutdown(self) -> MatchingService {
         {
             let mut q = self.client.shared.queue.lock().unwrap();
-            q.push_back(Job::Shutdown);
+            q.jobs.push_back(Job::Shutdown);
         }
         self.client.shared.available.notify_one();
         self.worker.join().expect("service worker panicked")
@@ -263,6 +309,7 @@ mod tests {
     use congest_graph::generators;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::time::Duration;
 
     fn spawn_gnp(n: usize, p: f64, seed: u64, config: ServiceConfig) -> ServiceServer {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -343,7 +390,7 @@ mod tests {
         {
             let mut q = client.shared.queue.lock().unwrap();
             let (tx, _rx) = mpsc::channel();
-            q.push_back(Job::Request {
+            q.jobs.push_back(Job::Request {
                 req: Request::Fingerprint,
                 reply: tx,
             });
@@ -352,6 +399,80 @@ mod tests {
         assert_eq!(client.overload_rejections(), 1);
         let service = server.shutdown();
         assert_eq!(service.stats().overload_rejections, 1);
+    }
+
+    /// Runs `client.request(req)` on its own thread: `None` if no
+    /// response came within five seconds.
+    fn request_within_5s(client: &ServiceClient, req: Request) -> Option<Response> {
+        let (tx, rx) = mpsc::channel();
+        let client = client.clone();
+        thread::spawn(move || {
+            let _ = tx.send(client.request(req));
+        });
+        rx.recv_timeout(Duration::from_secs(5)).ok()
+    }
+
+    #[test]
+    fn requests_after_shutdown_fail_promptly() {
+        let server = spawn_gnp(12, 0.3, 64, ServiceConfig::default());
+        let client = server.client();
+        server.shutdown();
+        assert_eq!(
+            request_within_5s(&client, Request::Fingerprint),
+            Some(worker_terminated())
+        );
+    }
+
+    #[test]
+    fn requests_queued_behind_shutdown_fail_promptly() {
+        let server = spawn_gnp(12, 0.3, 65, ServiceConfig::default());
+        let client = server.client();
+        let (tx, rx) = mpsc::channel();
+        {
+            let mut q = client.shared.queue.lock().unwrap();
+            q.jobs.push_back(Job::Shutdown);
+            q.jobs.push_back(Job::Request {
+                req: Request::Fingerprint,
+                reply: tx,
+            });
+        }
+        client.shared.available.notify_one();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Err(mpsc::RecvTimeoutError::Disconnected),
+            "the queued request must fail, not wait"
+        );
+        assert_eq!(
+            request_within_5s(&client, Request::Stats),
+            Some(worker_terminated())
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_worker_that_panics_fails_queued_and_later_requests() {
+        let shared = Arc::new(Shared::new(8));
+        let client = ServiceClient {
+            shared: Arc::clone(&shared),
+        };
+        let (tx, rx) = mpsc::channel();
+        shared.queue.lock().unwrap().jobs.push_back(Job::Request {
+            req: Request::Fingerprint,
+            reply: tx,
+        });
+        let worker = thread::spawn(move || {
+            let _close = CloseOnExit(shared);
+            panic!("handle panicked");
+        });
+        assert!(worker.join().is_err());
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Err(mpsc::RecvTimeoutError::Disconnected)
+        );
+        assert_eq!(
+            request_within_5s(&client, Request::Fingerprint),
+            Some(worker_terminated())
+        );
     }
 
     #[test]

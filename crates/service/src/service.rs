@@ -1,30 +1,37 @@
 //! The service core: a long-lived graph plus the machinery to answer
 //! matching/MIS requests against it.
 //!
-//! [`MatchingService`] owns the current graph twice over — a
-//! [`DeltaGraph`] overlay that absorbs mutations and a compacted CSR
-//! [`Graph`] the engine runs on — plus the *live* incrementally-repaired
-//! matching and MIS, the fingerprint-keyed result caches, and the
-//! request counters. [`handle`](MatchingService::handle) is the whole
-//! request dispatch; the frontends in [`server`](crate::server) only
-//! move [`Request`]s to it and [`Response`]s back.
+//! [`MatchingService`] owns the current graph once, as a [`DeltaGraph`]
+//! overlay whose canonical base is folded after every accepted batch,
+//! so the base *is* the CSR [`Graph`] the engine runs on. Beside it sit
+//! the *live* incrementally-repaired matching and MIS, the
+//! fingerprint-keyed result caches, and the request counters.
+//! [`handle`](MatchingService::handle) is the whole request dispatch;
+//! the frontends in [`server`](crate::server) only move [`Request`]s to
+//! it and [`Response`]s back.
 //!
 //! Three invariants shape the design:
 //!
 //! * **Canonical answers.** `MatchUsers` and `MisQuery` responses are
 //!   pure functions of `(fingerprint, seed)`: they come from fresh
-//!   engine runs on the compacted graph via the sharded executor, which
+//!   engine runs on the folded graph via the sharded executor, which
 //!   is bit-identical to the sequential one for every shard count. A
 //!   client cannot tell how many worker threads served it.
 //! * **Panic-free on any request.** Wire-driven node ids are bounds-
 //!   checked and `ApplyDeltas` is validated op by op against a scratch
 //!   overlay before the real one is touched, so a bad batch is rejected
-//!   atomically with an [`Response::Error`].
+//!   atomically with an [`Response::Error`]. The scratch clone shares
+//!   the graph: it copies only the free-slot list and the overlay's
+//!   pending delta, which is empty between batches.
 //! * **Cache honesty.** Results are keyed by the one-`u64`
-//!   [`DeltaGraph::fingerprint`]; every mutation recomputes the
-//!   fingerprint and evicts entries keyed by any other value, so a
-//!   cached answer is only ever replayed against the exact structure it
-//!   was computed under.
+//!   [`DeltaGraph::fingerprint`]; every mutation updates the
+//!   fingerprint in `O(1)`, and an accepted batch evicts entries keyed
+//!   by any other value, so a cached answer is only ever replayed
+//!   against the exact structure it was computed under.
+//!
+//! An accepted `ApplyDeltas` of `k` ops costs `O(k log n)` to validate
+//! and apply, one in-place fold (a sequential `memmove`-and-shift pass
+//! over the CSR arrays, no per-node allocation), and the two repairs.
 
 use std::collections::BTreeMap;
 
@@ -90,13 +97,10 @@ type MatchAnswers = BTreeMap<u64, (u64, Vec<(u32, u32)>)>;
 /// The matching-as-a-service core. See the module docs for the design.
 pub struct MatchingService {
     config: ServiceConfig,
-    /// Mutable overlay; the source of truth for structure, liveness,
-    /// and the fingerprint.
-    overlay: DeltaGraph,
-    /// Compacted CSR view of `overlay`, rebuilt after every mutation;
+    /// The graph: structure, liveness and the fingerprint. Folded after
+    /// every accepted batch, so its base is the current CSR graph and
     /// what the engine runs on.
-    graph: Graph,
-    fingerprint: u64,
+    overlay: DeltaGraph,
     partition: ShardPartition,
     /// Live matching, repaired incrementally on every `ApplyDeltas`.
     live_pairs: Vec<(NodeId, NodeId)>,
@@ -127,14 +131,13 @@ impl MatchingService {
     pub fn new(graph: Graph, config: ServiceConfig) -> Self {
         assert!(config.shards > 0, "ServiceConfig::shards must be positive");
         let overlay = DeltaGraph::new(graph);
-        let graph = overlay.compact();
-        let fingerprint = overlay.fingerprint();
+        let graph = overlay.base();
         let partition = ShardPartition::contiguous(graph.num_nodes(), config.shards);
 
         let mut cross_shard_messages = 0;
         let (run, completed, cross) = mwm_grouped_with_sharded(
-            &graph,
-            SimConfig::congest_for(&graph),
+            graph,
+            SimConfig::congest_for(graph),
             config.seed,
             &partition,
         );
@@ -142,11 +145,11 @@ impl MatchingService {
         cross_shard_messages += cross;
         let live_pairs: Vec<(NodeId, NodeId)> = run
             .matching
-            .edges(&graph)
+            .edges(graph)
             .map(|e| graph.endpoints(e))
             .collect();
 
-        let mis = Engine::build(&graph, SimConfig::congest_for(&graph), |_| LubyMis::new())
+        let mis = Engine::build(graph, SimConfig::congest_for(graph), |_| LubyMis::new())
             .run_sharded(config.seed, &partition);
         assert!(mis.outcome.completed, "initial MIS run hit the round cap");
         cross_shard_messages += mis.cross_shard_messages;
@@ -160,8 +163,6 @@ impl MatchingService {
         MatchingService {
             config,
             overlay,
-            graph,
-            fingerprint,
             partition,
             live_pairs,
             mate_of,
@@ -180,12 +181,14 @@ impl MatchingService {
 
     /// The current graph fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.overlay.fingerprint()
     }
 
-    /// The compacted view of the current graph.
+    /// The current graph in canonical CSR form: the overlay's base,
+    /// which every accepted batch is folded into before its repairs
+    /// run, so it never lags the overlay.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.overlay.base()
     }
 
     /// The live incrementally-repaired matching, as node pairs.
@@ -227,7 +230,7 @@ impl MatchingService {
             Request::IsIndependent { nodes } => self.is_independent(nodes),
             Request::IsMatched { node } => self.is_matched(*node),
             Request::ApplyDeltas { ops } => self.apply_deltas(ops),
-            Request::Fingerprint => Response::FingerprintIs(self.fingerprint),
+            Request::Fingerprint => Response::FingerprintIs(self.fingerprint()),
             Request::Stats => Response::StatsSnapshot {
                 requests_served: self.stats.requests_served,
                 cache_hits: self.stats.cache_hits,
@@ -239,7 +242,7 @@ impl MatchingService {
     }
 
     fn match_users(&mut self, seed: u64) -> Response {
-        let fp = self.fingerprint;
+        let fp = self.fingerprint();
         if let Some(per_seed) = self.match_cache.get_mut(fp) {
             if let Some((weight, pairs)) = per_seed.get(&seed) {
                 self.stats.cache_hits += 1;
@@ -252,25 +255,22 @@ impl MatchingService {
             }
         }
         self.stats.cache_misses += 1;
-        let (run, completed, cross) = mwm_grouped_with_sharded(
-            &self.graph,
-            SimConfig::congest_for(&self.graph),
-            seed,
-            &self.partition,
-        );
+        let graph = self.overlay.base();
+        let (run, completed, cross) =
+            mwm_grouped_with_sharded(graph, SimConfig::congest_for(graph), seed, &self.partition);
         self.cross_shard_messages += cross;
         if !completed {
             return Response::Error("matching run hit the round cap".to_string());
         }
         let pairs: Vec<(u32, u32)> = run
             .matching
-            .edges(&self.graph)
+            .edges(graph)
             .map(|e| {
-                let (u, v) = self.graph.endpoints(e);
+                let (u, v) = graph.endpoints(e);
                 (u.0, v.0)
             })
             .collect();
-        let weight = run.matching.weight(&self.graph);
+        let weight = run.matching.weight(graph);
         match self.match_cache.get_mut(fp) {
             Some(per_seed) => {
                 per_seed.insert(seed, (weight, pairs.clone()));
@@ -290,7 +290,7 @@ impl MatchingService {
     }
 
     fn mis_query(&mut self, seed: u64) -> Response {
-        let fp = self.fingerprint;
+        let fp = self.fingerprint();
         if let Some(per_seed) = self.mis_cache.get_mut(fp) {
             if let Some(in_set) = per_seed.get(&seed) {
                 self.stats.cache_hits += 1;
@@ -302,10 +302,9 @@ impl MatchingService {
             }
         }
         self.stats.cache_misses += 1;
-        let sharded = Engine::build(&self.graph, SimConfig::congest_for(&self.graph), |_| {
-            LubyMis::new()
-        })
-        .run_sharded(seed, &self.partition);
+        let graph = self.overlay.base();
+        let sharded = Engine::build(graph, SimConfig::congest_for(graph), |_| LubyMis::new())
+            .run_sharded(seed, &self.partition);
         self.cross_shard_messages += sharded.cross_shard_messages;
         if !sharded.outcome.completed {
             return Response::Error("MIS run hit the round cap".to_string());
@@ -367,7 +366,8 @@ impl MatchingService {
     fn apply_deltas(&mut self, ops: &[DeltaOp]) -> Response {
         // All-or-nothing: replay the batch on a scratch overlay with
         // explicit pre-checks mirroring DeltaGraph's panic conditions.
-        // Only a fully valid batch replaces the real overlay.
+        // Only a fully valid batch replaces the real overlay, which then
+        // holds the only reference to the base, so the fold is in place.
         let mut scratch = self.overlay.clone();
         for (i, op) in ops.iter().enumerate() {
             if let Err(why) = apply_checked(&mut scratch, op) {
@@ -376,42 +376,29 @@ impl MatchingService {
         }
         self.overlay = scratch;
         let deltas = self.overlay.take_log();
-        self.graph = self.overlay.compact();
-        self.fingerprint = self.overlay.fingerprint();
-        self.partition = ShardPartition::contiguous(self.graph.num_nodes(), self.config.shards);
-        self.match_cache.retain_current(self.fingerprint);
-        self.mis_cache.retain_current(self.fingerprint);
+        self.overlay.fold();
+        let fingerprint = self.overlay.fingerprint();
+        let graph = self.overlay.base();
+        self.partition = ShardPartition::contiguous(graph.num_nodes(), self.config.shards);
+        self.match_cache.retain_current(fingerprint);
+        self.mis_cache.retain_current(fingerprint);
 
         // Repairs run on the sequential executor: their round counts go
         // out on the wire, so they must not depend on the shard count
         // (and the damaged region is typically far smaller than the
         // graph — the whole point of serving repairs incrementally).
-        let mrepair = grouped_mwm_repair(
-            &self.graph,
-            &self.live_pairs,
-            &deltas,
-            self.config.seed,
-            false,
-        );
-        self.live_pairs = mrepair
-            .matching
-            .edges(&self.graph)
-            .map(|e| self.graph.endpoints(e))
-            .collect();
-        self.mate_of = mate_map(self.graph.num_nodes(), &self.live_pairs);
+        let mrepair = grouped_mwm_repair(graph, &self.live_pairs, &deltas, self.config.seed, false);
+        self.live_pairs.clear();
+        self.live_pairs
+            .extend(mrepair.matching.edges(graph).map(|e| graph.endpoints(e)));
+        self.mate_of = mate_map(graph.num_nodes(), &self.live_pairs);
 
-        let misr = luby_repair(
-            &self.graph,
-            &self.live_mis,
-            &deltas,
-            self.config.seed,
-            false,
-        );
+        let misr = luby_repair(graph, &self.live_mis, &deltas, self.config.seed, false);
         self.live_mis = misr.results;
 
         self.stats.deltas_applied += 1;
         Response::Applied {
-            fingerprint: self.fingerprint,
+            fingerprint,
             live_nodes: self.overlay.num_live_nodes() as u32,
             matching_repair_rounds: mrepair.rounds as u32,
             mis_repair_rounds: misr.rounds as u32,

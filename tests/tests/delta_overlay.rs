@@ -6,7 +6,9 @@
 //! gnp, Watts–Strogatz, or power-law-cluster base — yields an overlay
 //! whose [`DeltaGraph::fingerprint`] equals both the fingerprint of its
 //! own [`DeltaGraph::compact`] output and the fingerprint of a fresh CSR
-//! build of the same (weights, edge set) from scratch. The engine's
+//! build of the same (weights, edge set) from scratch, and whose
+//! compacted and folded graphs equal, table for table, a from-scratch
+//! build of the view's edges in lexicographic order. The engine's
 //! contract is that under every churn knob (`edge_flip_prob`,
 //! `node_join_prob`, `node_leave_prob`, alone or combined) `run` is
 //! bit-identical to a replayed `run` and to `run_parallel`, and that a
@@ -66,6 +68,27 @@ impl Mirror {
         }
         b.build()
     }
+}
+
+/// The canonical CSR of the overlay view, built from scratch: every
+/// slot with its weight, then the view's edges in lexicographic order
+/// through the builder's unchecked path. `compact` and `fold` must
+/// produce exactly this graph.
+fn reference(dg: &DeltaGraph) -> Graph {
+    let n = dg.num_slots();
+    let mut b = GraphBuilder::with_nodes(n);
+    for v in 0..n as u32 {
+        b.set_node_weight(NodeId(v), dg.node_weight(NodeId(v)));
+    }
+    for v in 0..n as u32 {
+        for (u, w) in dg.neighbors(NodeId(v)) {
+            if v < u.0 {
+                let e = b.add_edge_unchecked(NodeId(v), u);
+                b.set_edge_weight(e, w);
+            }
+        }
+    }
+    b.build()
 }
 
 /// One overlay mutation, drawn as raw indices; `apply` interprets the
@@ -215,6 +238,35 @@ proptest! {
         prop_assert_eq!(idle.compact().fingerprint(), compacted.fingerprint());
     }
 
+    /// Applied in batches, a history keeps the overlay equal to the
+    /// from-scratch canonical build after every batch: `compact()` table
+    /// for table, and the base itself after an in-place `fold()` (which
+    /// every other batch takes). The `O(1)` fingerprint equals a
+    /// from-scratch recomputation after every single op.
+    #[test]
+    fn compact_and_fold_equal_the_canonical_build_after_every_batch(
+        history in arb_history(),
+        batch in 1usize..=5,
+    ) {
+        let (g, ops) = history;
+        let mut m = Mirror::of(&g);
+        let mut dg = DeltaGraph::new(g);
+        prop_assert_eq!(dg.compact(), reference(&dg));
+        for (i, chunk) in ops.chunks(batch).enumerate() {
+            for &op in chunk {
+                apply(&mut dg, &mut m, op);
+                prop_assert_eq!(dg.fingerprint(), reference(&dg).fingerprint());
+            }
+            let expected = reference(&dg);
+            prop_assert_eq!(&dg.compact(), &expected);
+            if i % 2 == 1 {
+                dg.fold();
+                prop_assert_eq!(dg.base(), &expected);
+                prop_assert_eq!(dg.fingerprint(), expected.fingerprint());
+            }
+        }
+    }
+
     /// Under every churn knob — flips, joins, leaves, alone or combined
     /// — a run replays bit-identically and matches the deterministic
     /// parallel executor, and zeroed knobs leave their counters at zero.
@@ -257,5 +309,123 @@ proptest! {
             prop_assert_eq!(first.stats.nodes_left, 0);
             prop_assert_eq!(first.stats.nodes_joined, 0);
         }
+    }
+}
+
+/// A gnp base with random weights, its overlay already past one fold.
+fn folded_gnp(n: usize, seed: u64) -> DeltaGraph {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut g = generators::gnp(n, 0.3, &mut rng);
+    generators::randomize_edge_weights(&mut g, 32, &mut rng);
+    let mut dg = DeltaGraph::new(g);
+    dg.fold();
+    dg
+}
+
+/// Checks `compact()` and an in-place `fold()` against the reference.
+fn assert_splices_to_reference(mut dg: DeltaGraph) {
+    let expected = reference(&dg);
+    assert_eq!(dg.compact(), expected);
+    assert_eq!(dg.fingerprint(), expected.fingerprint());
+    dg.fold();
+    assert_eq!(dg.base(), &expected);
+    assert_eq!(dg.compact(), expected, "a fold leaves nothing pending");
+}
+
+#[test]
+fn splice_inserts_before_the_first_edge_and_after_the_last() {
+    // Base edges 1-2 and 2-3: 0-1 sorts before edge 0, 3-4 after the
+    // last edge, and 4-5 reaches an appended slot.
+    let mut b = GraphBuilder::with_nodes(5);
+    b.add_weighted_edge(NodeId(2), NodeId(3), 4);
+    b.add_weighted_edge(NodeId(1), NodeId(2), 5);
+    let mut dg = DeltaGraph::new(b.build());
+    dg.insert_edge(NodeId(1), NodeId(0), 6);
+    dg.insert_edge(NodeId(3), NodeId(4), 7);
+    let mut appended = dg.clone();
+    assert_splices_to_reference(dg);
+    let v = appended.add_node(2);
+    appended.insert_edge(NodeId(4), v, 8);
+    assert_splices_to_reference(appended);
+}
+
+#[test]
+fn splice_removes_the_only_edge() {
+    let mut b = GraphBuilder::with_nodes(3);
+    b.add_weighted_edge(NodeId(2), NodeId(0), 9);
+    let mut dg = DeltaGraph::new(b.build());
+    dg.remove_edge(NodeId(0), NodeId(2));
+    let expected = reference(&dg);
+    assert_eq!(expected.num_edges(), 0);
+    assert_splices_to_reference(dg);
+}
+
+#[test]
+fn splice_reinserts_a_removed_edge_with_a_new_weight_in_one_batch() {
+    let mut dg = folded_gnp(10, 2);
+    let (u, v) = dg.base().endpoints(congest_graph::EdgeId(3));
+    let old = dg.edge_weight(u, v).unwrap();
+    dg.remove_edge(u, v);
+    dg.insert_edge(v, u, old + 100);
+    assert_eq!(dg.edge_weight(u, v), Some(old + 100));
+    assert_splices_to_reference(dg);
+}
+
+#[test]
+fn splice_gives_appended_slots_their_edges() {
+    let mut dg = folded_gnp(9, 3);
+    let a = dg.add_node(5);
+    let b = dg.add_node(6);
+    dg.insert_edge(a, b, 7);
+    dg.insert_edge(NodeId(0), b, 8);
+    dg.insert_edge(a, NodeId(4), 9);
+    assert_splices_to_reference(dg);
+}
+
+#[test]
+fn splice_handles_a_leave_then_a_join_reusing_the_slot() {
+    let mut dg = folded_gnp(10, 4);
+    assert!(dg.degree(NodeId(3)) > 0);
+    dg.remove_node(NodeId(3));
+    let mut left = dg.clone();
+    assert_splices_to_reference(left.clone());
+    left.fold();
+    let v = left.add_node(12);
+    assert_eq!(v, NodeId(3), "the join reuses the parked slot");
+    left.insert_edge(v, NodeId(7), 2);
+    left.insert_edge(NodeId(0), v, 3);
+    assert_splices_to_reference(left);
+    // The same leave and join in one batch.
+    let v = dg.add_node(12);
+    dg.insert_edge(v, NodeId(7), 2);
+    assert_splices_to_reference(dg);
+}
+
+/// A graph whose CSR arrays span many blocks of the fold's shift table,
+/// and batches sparse enough that most blocks keep one shift while
+/// edits split the rest: the fold's shifts come both from the table and
+/// from its search of the runs.
+#[test]
+fn splice_handles_large_batches_on_a_larger_graph() {
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut g = generators::gnp(400, 0.02, &mut rng);
+    generators::randomize_node_weights(&mut g, 32, &mut rng);
+    generators::randomize_edge_weights(&mut g, 32, &mut rng);
+    let mut m = Mirror::of(&g);
+    let mut dg = DeltaGraph::new(g);
+    for batch in [6, 12, 40, 6] {
+        for i in 0..batch {
+            // Edge inserts and removals only, alternating.
+            let op = (
+                i as u8 % 2,
+                rng.random::<u32>() as u16,
+                rng.random::<u32>() as u16,
+                rng.random::<u32>() as u8,
+            );
+            apply(&mut dg, &mut m, op);
+        }
+        assert_splices_to_reference(dg.clone());
+        dg.fold();
+        assert_eq!(dg.base(), &m.fresh_build());
     }
 }
