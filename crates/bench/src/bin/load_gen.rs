@@ -1,9 +1,9 @@
 //! Load generator for the matching service (`crates/service`).
 //!
 //! Drives hundreds of thousands of simulated requests through the
-//! batched in-process frontend over a (shards × max-batch) matrix and
-//! *appends* one record per cell — throughput plus p50/p95/p99 request
-//! latency, response-kind counts, and cache behaviour — to
+//! in-process queue frontend once per shard count and *appends* one
+//! record per run — throughput plus p50/p95/p99 request latency,
+//! response-kind counts, and cache behaviour — to
 //! `SERVICE_engine.json`, the checked-in JSON-array ledger successive
 //! PRs extend (same storage convention as `BENCH_engine.json`; see
 //! [`congest_bench::ledger`]).
@@ -11,20 +11,20 @@
 //! ```text
 //! cargo run --release -p congest-bench --bin load_gen \
 //!     [-- PATH] [--requests N] [--nodes N] [--clients C] \
-//!     [--shards a,b] [--batches a,b] [--mutate-every K]
+//!     [--shards a,b] [--mutate-every K]
 //! ```
 //!
 //! The workload is a read-mostly mix: independence and mate lookups
 //! dominate, matching/MIS queries draw from a small seed pool so the
-//! fingerprint cache carries most of them, and one designated mutator
+//! service's seed memo carries most of them, and one designated mutator
 //! client periodically applies a small delta batch (invalidating the
 //! caches and exercising incremental repair). All mutations go through
 //! that single client's mirror of the graph, so every submitted op is
 //! valid and an `Error` response is a real service bug — the run
 //! asserts there are none.
 //!
-//! `--requests` is the total per cell, split across `--clients` client
-//! threads (default 4 × 50k = 200k per cell, 4 cells — well into the
+//! `--requests` is the total per run, split across `--clients` client
+//! threads (default 4 × 50k = 200k per run, 2 runs — well into the
 //! "hundreds of thousands" the service tier is sized for; CI uses a
 //! tiny count, same schema).
 
@@ -41,20 +41,17 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Default total requests per (shards × max-batch) cell.
+/// Default total requests per shard count.
 const DEFAULT_REQUESTS: usize = 200_000;
 
 /// Default service graph size (average degree 8).
 const DEFAULT_NODES: usize = 2_000;
 
-/// Default client threads the per-cell request budget is split across.
+/// Default client threads the per-run request budget is split across.
 const DEFAULT_CLIENTS: usize = 4;
 
-/// Default shard counts of the matrix.
+/// Default shard counts, one run each.
 const DEFAULT_SHARDS: [usize; 2] = [1, 4];
-
-/// Default max-batch values of the matrix.
-const DEFAULT_BATCHES: [usize; 2] = [1, 16];
 
 /// The mutator client applies one delta batch every this many of its
 /// own requests.
@@ -183,20 +180,17 @@ struct CellResult {
     counts: Counts,
     latencies_ns: Vec<u128>,
     wall_ns: u128,
-    batches_served: u64,
-    max_batch_seen: u64,
     cache_hits: u64,
     cache_misses: u64,
     fingerprint: u64,
 }
 
-/// Runs one (shards, max_batch) cell: spawns the service and `clients`
-/// threads splitting `requests` between them, client 0 doubling as the
-/// sole mutator.
+/// Runs one shard count: spawns the service and `clients` threads
+/// splitting `requests` between them, client 0 doubling as the sole
+/// mutator.
 fn run_cell(
     g: &Graph,
     shards: usize,
-    max_batch: usize,
     requests: usize,
     clients: usize,
     mutate_every: usize,
@@ -205,7 +199,6 @@ fn run_cell(
         g.clone(),
         ServiceConfig {
             shards,
-            max_batch,
             ..ServiceConfig::default()
         },
     );
@@ -250,8 +243,6 @@ fn run_cell(
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let wall_ns = start.elapsed().as_nanos();
-    let batches_served = server.client().batches_served();
-    let max_batch_seen = server.client().max_batch_seen();
     let service = server.shutdown();
 
     let mut counts = Counts::default();
@@ -265,21 +256,19 @@ fn run_cell(
         counts,
         latencies_ns,
         wall_ns,
-        batches_served,
-        max_batch_seen,
         cache_hits: service.stats().cache_hits,
         cache_misses: service.stats().cache_misses,
         fingerprint: service.fingerprint(),
     }
 }
 
-fn record_for(g: &Graph, n: usize, shards: usize, max_batch: usize, r: &CellResult) -> String {
+fn record_for(g: &Graph, n: usize, shards: usize, r: &CellResult) -> String {
     let p = 8.0 / n as f64;
     let total = r.latencies_ns.len();
     let throughput_rps = total as f64 * 1e9 / r.wall_ns as f64;
     let c = &r.counts;
     format!(
-        "  {{\n    \"suite\": \"service\",\n    \"bench\": \"load_gen\",\n    \"graph\": {{ \"family\": \"gnp\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"shards\": {shards},\n    \"max_batch\": {max_batch},\n    \"requests\": {total},\n    \"responses\": {{ \"matching\": {matching}, \"mis\": {mis}, \"independent\": {independent}, \"mate\": {mate}, \"applied\": {applied}, \"fingerprint\": {fingerprint}, \"stats\": {stats}, \"overloaded\": {overloaded}, \"error\": {error} }},\n    \"cache\": {{ \"hits\": {hits}, \"misses\": {misses} }},\n    \"batches_served\": {batches},\n    \"max_batch_seen\": {max_seen},\n    \"final_fingerprint\": {fp},\n    \"throughput_rps\": {throughput_rps:.1},\n    \"latency_ns\": {{ \"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99} }}\n  }}",
+        "  {{\n    \"suite\": \"service\",\n    \"bench\": \"load_gen\",\n    \"graph\": {{ \"family\": \"gnp\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"shards\": {shards},\n    \"requests\": {total},\n    \"responses\": {{ \"matching\": {matching}, \"mis\": {mis}, \"independent\": {independent}, \"mate\": {mate}, \"applied\": {applied}, \"fingerprint\": {fingerprint}, \"stats\": {stats}, \"overloaded\": {overloaded}, \"error\": {error} }},\n    \"cache\": {{ \"hits\": {hits}, \"misses\": {misses} }},\n    \"final_fingerprint\": {fp},\n    \"throughput_rps\": {throughput_rps:.1},\n    \"latency_ns\": {{ \"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99} }}\n  }}",
         m = g.num_edges(),
         matching = c.matching,
         mis = c.mis,
@@ -292,8 +281,6 @@ fn record_for(g: &Graph, n: usize, shards: usize, max_batch: usize, r: &CellResu
         error = c.error,
         hits = r.cache_hits,
         misses = r.cache_misses,
-        batches = r.batches_served,
-        max_seen = r.max_batch_seen,
         fp = r.fingerprint,
         p50 = percentile_ns(&r.latencies_ns, 50),
         p95 = percentile_ns(&r.latencies_ns, 95),
@@ -322,7 +309,6 @@ fn main() {
     let mut nodes = DEFAULT_NODES;
     let mut clients = DEFAULT_CLIENTS;
     let mut shards: Vec<usize> = DEFAULT_SHARDS.to_vec();
-    let mut batches: Vec<usize> = DEFAULT_BATCHES.to_vec();
     let mut mutate_every = DEFAULT_MUTATE_EVERY;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -347,8 +333,6 @@ fn main() {
             assert!(clients > 0, "--clients must be positive");
         } else if let Some(v) = take("--shards") {
             shards = parse_list("--shards", &v);
-        } else if let Some(v) = take("--batches") {
-            batches = parse_list("--batches", &v);
         } else if let Some(v) = take("--mutate-every") {
             mutate_every = v.parse().expect("--mutate-every value must be an integer");
             assert!(mutate_every > 0, "--mutate-every must be positive");
@@ -356,7 +340,7 @@ fn main() {
             // Don't let a flag typo silently become the output path.
             panic!(
                 "unknown flag {arg}; usage: load_gen [PATH] [--requests N] [--nodes N] \
-                 [--clients C] [--shards a,b] [--batches a,b] [--mutate-every K]"
+                 [--clients C] [--shards a,b] [--mutate-every K]"
             );
         } else {
             out_path = arg;
@@ -369,23 +353,19 @@ fn main() {
 
     let mut records = Vec::new();
     for &s in &shards {
-        for &b in &batches {
-            eprintln!(
-                "load_gen: n = {nodes}, shards = {s}, max_batch = {b}, \
-                 {requests} requests over {clients} clients..."
-            );
-            let cell = run_cell(&g, s, b, requests, clients, mutate_every);
-            eprintln!(
-                "load_gen: shards = {s}, max_batch = {b}: {rps:.0} req/s, p50 {p50} ns, \
-                 {hits} cache hits / {misses} misses, max batch {mb}",
-                rps = cell.latencies_ns.len() as f64 * 1e9 / cell.wall_ns as f64,
-                p50 = percentile_ns(&cell.latencies_ns, 50),
-                hits = cell.cache_hits,
-                misses = cell.cache_misses,
-                mb = cell.max_batch_seen,
-            );
-            records.push(record_for(&g, nodes, s, b, &cell));
-        }
+        eprintln!(
+            "load_gen: n = {nodes}, shards = {s}, {requests} requests over {clients} clients..."
+        );
+        let cell = run_cell(&g, s, requests, clients, mutate_every);
+        eprintln!(
+            "load_gen: shards = {s}: {rps:.0} req/s, p50 {p50} ns, \
+             {hits} cache hits / {misses} misses",
+            rps = cell.latencies_ns.len() as f64 * 1e9 / cell.wall_ns as f64,
+            p50 = percentile_ns(&cell.latencies_ns, 50),
+            hits = cell.cache_hits,
+            misses = cell.cache_misses,
+        );
+        records.push(record_for(&g, nodes, s, &cell));
     }
     let json = congest_bench::ledger::append_to_file(&out_path, &records);
     println!("wrote {out_path}:\n{json}");

@@ -566,12 +566,12 @@ static SHAPES: &[Shape] = &[
     Shape {
         name: "suite=service bench=load_gen",
         ledger: "SERVICE_engine.json",
-        keys: "suite bench shards max_batch requests batches_served max_batch_seen \
-            final_fingerprint throughput_rps cache.hits cache.misses graph.family graph.n \
-            graph.p graph.seed graph.edges latency_ns.p50 latency_ns.p95 latency_ns.p99 \
-            responses.matching responses.mis responses.independent responses.mate \
-            responses.applied responses.fingerprint responses.stats responses.overloaded \
-            responses.error",
+        keys: "suite bench shards requests final_fingerprint throughput_rps cache.hits \
+            cache.misses graph.family graph.n graph.p graph.seed graph.edges latency_ns.p50 \
+            latency_ns.p95 latency_ns.p99 responses.matching responses.mis \
+            responses.independent responses.mate responses.applied responses.fingerprint \
+            responses.stats responses.overloaded responses.error \
+            max_batch? batches_served? max_batch_seen?",
         rules: &[
             ("no error responses", |r| r.is("responses.error", "0")),
             ("one response per request", |r| {
@@ -581,16 +581,18 @@ static SHAPES: &[Shape] = &[
                 let (p50, p95, p99) = ("latency_ns.p50", "latency_ns.p95", "latency_ns.p99");
                 r.num(p50) > 0.0 && r.le(p50, p95) && r.le(p95, p99)
             }),
-            ("throughput > 0, batches ≤ max_batch", |r| {
-                let served = r.num("throughput_rps") > 0.0 && r.num("batches_served") >= 1.0;
-                served && r.le("max_batch_seen", "max_batch")
+            ("throughput > 0", |r| r.num("throughput_rps") > 0.0),
+            ("older, batched rows: batches ≤ max_batch", |r| {
+                let keys = ["max_batch", "batches_served", "max_batch_seen"];
+                let batched = r.num("batches_served") >= 1.0 && r.le("max_batch_seen", "max_batch");
+                keys.iter().all(|k| r.get(k).is_none()) || batched
             }),
             ("counts are integers", |r| {
                 r.counts("requests final_fingerprint")
             }),
         ],
         min_records: 4,
-        covers: &[("shards/max_batch", "1/1 1/16 4/1 4/16")],
+        covers: &[("shards", "1 4")],
     },
     Shape {
         name: "suite=service kind=oracle",
@@ -798,6 +800,28 @@ mod tests {
         assert_eq!((r.get("a.b"), r.text("a.e")), (Some(&b), Some("false")));
         assert_eq!((r.get("a.x"), r.get("a.e.x")), (None, None));
         assert_eq!(r.get("n.x.y"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn load_gen_rows_carry_all_batch_keys_or_none() {
+        let row = |batch: &str| {
+            let fixed = r#""suite": "service", "bench": "load_gen", "shards": 1, "requests": 2,
+                "final_fingerprint": 7, "throughput_rps": 1.5, "cache": {"hits": 0, "misses": 1},
+                "graph": {"family": "gnp", "n": 2, "p": 1, "seed": 2, "edges": 1},
+                "latency_ns": {"p50": 1, "p95": 2, "p99": 3}, "responses": {"matching": 1,
+                "mis": 1, "independent": 0, "mate": 0, "applied": 0, "fingerprint": 0,
+                "stats": 0, "overloaded": 0, "error": 0}"#;
+            check_record(&format!("{{{batch}{fixed}}}"))
+        };
+        assert!(row("").is_ok());
+        assert!(row(r#""max_batch": 16, "batches_served": 9, "max_batch_seen": 4, "#).is_ok());
+        for bad in [
+            r#""max_batch": 16, "#,
+            r#""max_batch": 2, "max_batch_seen": 4, "#,
+        ] {
+            let err = row(bad).unwrap_err();
+            assert!(err.contains("batches ≤ max_batch"), "{bad}: {err}");
+        }
     }
 
     #[test]

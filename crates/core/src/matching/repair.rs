@@ -34,12 +34,13 @@ pub struct MatchingRepairRun {
 
 /// Repairs a prior grouped matching after the graph changed by `deltas`.
 ///
-/// `g` is the *current* graph (e.g. [`DeltaGraph::compact`]
-/// (congest_graph::DeltaGraph::compact) of the mutated overlay) and
-/// `prior_pairs` the matched pairs of the pre-delta run, as endpoint
-/// pairs (edge ids are not stable across compaction; node ids are). A
-/// pair is **frozen** — kept verbatim — iff its edge still exists in `g`
-/// and neither endpoint departed; everything else is re-negotiated.
+/// `g` is the *current* graph (e.g.
+/// [`DeltaGraph::compact`](congest_graph::DeltaGraph::compact) of the
+/// mutated overlay) and `prior_pairs` the matched pairs of the pre-delta
+/// run, as endpoint pairs (edge ids are not stable across compaction;
+/// node ids are). A pair is **frozen** — kept verbatim — iff its edge
+/// still exists in `g` and neither endpoint departed; everything else is
+/// re-negotiated.
 /// `parallel` selects the engine's deterministic parallel executor; both
 /// executors produce bit-identical matchings for the same seed.
 ///

@@ -310,6 +310,8 @@ impl DeltaGraph {
     /// Panics, naming the offending argument, if either endpoint is out
     /// of range or the edge is not present.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) {
+        self.check_slot("remove_edge", u);
+        self.check_slot("remove_edge", v);
         assert!(
             self.has_edge(u, v),
             "DeltaGraph::remove_edge: edge {u}–{v} not present"
@@ -1027,7 +1029,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "DeltaGraph::has_edge: node v7 out of range")]
+    #[should_panic(expected = "DeltaGraph::remove_edge: node v7 out of range")]
     fn remove_out_of_range_panics() {
         DeltaGraph::new(path4()).remove_edge(NodeId(7), NodeId(0));
     }

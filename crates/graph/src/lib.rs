@@ -36,7 +36,6 @@
 //! ```
 
 mod builder;
-mod cache;
 mod delta;
 mod graph;
 mod independent_set;
@@ -47,7 +46,6 @@ mod shard;
 pub mod generators;
 
 pub use builder::GraphBuilder;
-pub use cache::FingerprintCache;
 pub use delta::{DeltaGraph, DeltaSet};
 pub use graph::{EdgeId, Graph, NodeId};
 pub use independent_set::IndependentSet;

@@ -33,11 +33,10 @@ use congest_approx::matching::mwm_grouped_with;
 use congest_approx::maxis::{alg2_with, Alg2Config};
 use congest_bench::ledger::{json_object, json_str};
 use congest_exact::{brute_force_mwis, greedy_matching, max_weight_matching_oracle};
-use congest_graph::Graph;
 use congest_mis::{GhaffariMis, LubyMis, MisResult};
-use congest_sim::{Adversary, AsyncScheduler, Engine, Protocol, RunStats, SimConfig};
+use congest_sim::{Adversary, AsyncScheduler, RunStats, SimConfig};
 
-use crate::{build_graph, topologies, ProtocolKind, Topology, Weighting};
+use crate::{build_graph, run_mis_both, topologies, ProtocolKind, Topology, Weighting};
 
 /// One axis of the fault model. Each axis turns exactly one knob so the
 /// ledger isolates which *kind* of misbehavior each protocol tolerates.
@@ -242,29 +241,6 @@ impl DegradationReport {
     }
 }
 
-/// Runs an engine-driven MIS cell sequentially *and* in parallel,
-/// asserting the two executors agree on every output and statistic
-/// before scoring the sequential outcome.
-fn run_mis_both<P>(
-    g: &Graph,
-    config: &SimConfig,
-    factory: fn() -> P,
-    seed: u64,
-) -> congest_sim::RunOutcome<MisResult>
-where
-    P: Protocol<Output = MisResult> + Send,
-    P::Msg: Send,
-{
-    let seq = Engine::build(g, config.clone(), move |_| factory()).run(seed);
-    let par = Engine::build(g, config.clone(), move |_| factory()).run_parallel(seed);
-    assert_eq!(
-        seq.outputs, par.outputs,
-        "degradation cell: sequential and parallel executors diverged"
-    );
-    assert_eq!(seq.stats, par.stats);
-    seq
-}
-
 /// Runs one degradation cell (see the module docs for the contract).
 pub fn degradation_cell(
     kind: ProtocolKind,
@@ -295,9 +271,15 @@ pub fn degradation_cell(
     let (completed, decided, safety_ok, alg, opt, bound, stats) = match kind {
         ProtocolKind::LubyMis | ProtocolKind::GhaffariMis => {
             let outcome = if kind == ProtocolKind::LubyMis {
-                run_mis_both(&g, &config, LubyMis::new, seed)
+                run_mis_both("degradation", &g, &config, LubyMis::new, seed)
             } else {
-                run_mis_both(&g, &config, || GhaffariMis::with_k(2.0), seed)
+                run_mis_both(
+                    "degradation",
+                    &g,
+                    &config,
+                    || GhaffariMis::with_k(2.0),
+                    seed,
+                )
             };
             let decided = outcome.outputs.iter().filter(|o| o.is_some()).count();
             let independent = !g.edges().any(|e| {

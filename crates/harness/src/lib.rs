@@ -72,7 +72,7 @@ use congest_exact::{
 };
 use congest_graph::{generators, Graph, NodeId};
 use congest_mis::{verify_mis, GhaffariMis, LubyMis, MisResult};
-use congest_sim::{run_protocol, Adversary, NodeInfo, Protocol, SimConfig};
+use congest_sim::{run_protocol, Adversary, Engine, NodeInfo, Protocol, RunOutcome, SimConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -461,6 +461,30 @@ fn run_mis_cell<P: Protocol<Output = MisResult>>(
             opt_override: None,
         },
     }
+}
+
+/// Runs an engine-driven MIS cell of the `suite` grid sequentially *and*
+/// in parallel, asserting the two executors agree on every output and
+/// statistic before scoring the sequential outcome.
+fn run_mis_both<P>(
+    suite: &str,
+    g: &Graph,
+    config: &SimConfig,
+    factory: fn() -> P,
+    seed: u64,
+) -> RunOutcome<MisResult>
+where
+    P: Protocol<Output = MisResult> + Send,
+    P::Msg: Send,
+{
+    let seq = Engine::build(g, config.clone(), move |_| factory()).run(seed);
+    let par = Engine::build(g, config.clone(), move |_| factory()).run_parallel(seed);
+    assert_eq!(
+        seq.outputs, par.outputs,
+        "{suite} cell: sequential and parallel executors diverged"
+    );
+    assert_eq!(seq.stats, par.stats);
+    seq
 }
 
 /// Shared scoring for the run shapes that carry (validity, rounds,

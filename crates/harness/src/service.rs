@@ -10,9 +10,9 @@
 //!
 //! * **MatchUsers** — the served pairs form a valid, *maximal* matching
 //!   of the service's current graph, and `2·w(M) ≥ w(M*)` against
-//!   [`max_weight_matching_oracle`]-backed optima (the same
-//!   [`opt_value`] machinery as the conformance matrix, so the check is
-//!   exact integer arithmetic on these ≤16-node graphs);
+//!   [`max_weight_matching_oracle`](congest_exact::max_weight_matching_oracle)-backed
+//!   optima (the same [`opt_value`] machinery as the conformance matrix,
+//!   so the check is exact integer arithmetic on these ≤16-node graphs);
 //! * **MisQuery** — the served `in_set` reconstructs into per-slot
 //!   results that pass [`verify_mis`] (independence + maximality);
 //! * **IsIndependent / IsMatched / Fingerprint** — consistent with the

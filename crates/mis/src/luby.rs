@@ -34,7 +34,7 @@ impl Message for LubyMsg {
 }
 
 /// Wire format: 2-bit variant tag in the low bits, the priority above it.
-/// Priorities live in `[0, n³) ∩ [0, 2⁶²)` ([`LubyMis::priority_domain`]
+/// Priorities live in `[0, n³) ∩ [0, 2⁶²)` (`LubyMis::priority_domain`
 /// caps the domain), so the 62 payload bits are exact, not truncating.
 impl PackedMsg for LubyMsg {
     const BITS: u32 = 64;

@@ -53,13 +53,13 @@ pub struct RepairRun {
 
 /// Repairs a prior Luby MIS after the graph changed by `deltas`.
 ///
-/// `g` is the *current* graph (e.g. [`DeltaGraph::compact`]
-/// (congest_graph::DeltaGraph::compact) of the mutated overlay), `prior`
-/// the per-node results valid for the pre-delta graph, and `deltas` the
-/// log separating the two (e.g. [`DeltaGraph::take_log`]
-/// (congest_graph::DeltaGraph::take_log)). `parallel` selects the
-/// engine's deterministic parallel executor; both executors produce
-/// bit-identical results for the same seed.
+/// `g` is the *current* graph (e.g.
+/// [`DeltaGraph::compact`](congest_graph::DeltaGraph::compact) of the
+/// mutated overlay), `prior` the per-node results valid for the
+/// pre-delta graph, and `deltas` the log separating the two (e.g.
+/// [`DeltaGraph::take_log`](congest_graph::DeltaGraph::take_log)).
+/// `parallel` selects the engine's deterministic parallel executor; both
+/// executors produce bit-identical results for the same seed.
 ///
 /// # Panics
 ///

@@ -6,8 +6,8 @@
 //! turns them into a *service*: a process that owns a graph for hours,
 //! absorbs mutations, and answers a stream of requests like *match
 //! these users*, *is this set independent*, and *apply these deltas
-//! and repair*, with batching, admission control, and result caching
-//! in front.
+//! and repair*, with a bounded queue, admission control, and result
+//! caching in front.
 //!
 //! The pieces:
 //!
@@ -17,13 +17,13 @@
 //! * [`MatchingService`] — the core: graph state as one
 //!   [`DeltaGraph`](congest_graph::DeltaGraph) overlay, folded into its
 //!   CSR base after every batch, canonical answers via the engine's
-//!   sharded executor
-//!   (bit-identical for every shard count), incremental repair of the
-//!   live matching/MIS on every mutation, and
-//!   [`FingerprintCache`](congest_graph::FingerprintCache)-backed
-//!   result reuse keyed by the one-`u64` graph fingerprint.
-//! * [`ServiceServer`]/[`ServiceClient`] — the batched in-process
-//!   queue frontend with admission control.
+//!   sharded executor (bit-identical for every shard count), incremental
+//!   repair of the live matching/MIS on every mutation, and a bounded
+//!   per-seed memo of answers for the current graph, emptied when a
+//!   batch changes the one-`u64` graph fingerprint.
+//! * [`ServiceServer`]/[`ServiceClient`] — the in-process frontend: one
+//!   worker serving a bounded `std::sync::mpsc` queue, with admission
+//!   control.
 //! * [`TcpFacade`]/[`TcpClient`] — the `std::net` TCP adapter speaking
 //!   the wire frames.
 //!

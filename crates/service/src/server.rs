@@ -1,16 +1,16 @@
-//! Frontends for [`MatchingService`]: a batched in-process queue and a
+//! Frontends for [`MatchingService`]: an in-process bounded queue and a
 //! `std::net` TCP listener speaking the [`wire`](crate::wire) frames.
 //!
 //! The in-process path is the primary one: a single worker thread owns
-//! the service and drains the shared queue in FIFO batches of at most
-//! [`ServiceConfig::max_batch`](crate::ServiceConfig::max_batch)
-//! requests. Admission control happens at submit time — a client whose
-//! request would push the queue past `queue_capacity` gets
-//! [`Response::Overloaded`] immediately and the worker never sees it.
-//! Because one thread applies all requests in arrival order, a single
-//! client's trace always yields the same response sequence, whatever
-//! the shard count or how many TCP connections multiplex onto the
-//! queue.
+//! the service and takes requests one at a time from a bounded
+//! [`mpsc::sync_channel`] of
+//! [`ServiceConfig::queue_capacity`](crate::ServiceConfig::queue_capacity)
+//! slots. Admission control happens at submit time — a client whose
+//! request finds the queue full gets [`Response::Overloaded`]
+//! immediately and the worker never sees it. Because one thread applies
+//! all requests in arrival order, a single client's trace always yields
+//! the same response sequence, whatever the shard count or how many TCP
+//! connections multiplex onto the queue.
 //!
 //! The TCP frontend is a thin adapter: one thread per connection reads
 //! frames, decodes [`Request`]s (malformed bytes get a
@@ -18,15 +18,14 @@
 //! same queue.
 //!
 //! However the worker ends — after [`ServiceServer::shutdown`], or by a
-//! panic in [`MatchingService::handle`] — it closes the queue on the
-//! way out: every queued request fails at once, and so does every
-//! later one, instead of waiting for a worker that is gone.
+//! panic in [`MatchingService::handle`] — the receiving end of the queue
+//! drops on the way out: every queued request fails at once, and so does
+//! every later one, instead of waiting for a worker that is gone.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 use crate::service::MatchingService;
@@ -40,41 +39,12 @@ enum Job {
     Shutdown,
 }
 
-/// The pending jobs, and whether the worker has ended, under one lock.
-#[derive(Default)]
-struct Queue {
-    jobs: VecDeque<Job>,
-    /// Set once the worker has ended: no job is queued after that.
-    closed: bool,
-}
-
-struct Shared {
-    queue: Mutex<Queue>,
-    available: Condvar,
-    queue_capacity: usize,
-    overloads: AtomicU64,
-    batches_served: AtomicU64,
-    max_batch_seen: AtomicU64,
-}
-
-impl Shared {
-    fn new(queue_capacity: usize) -> Shared {
-        Shared {
-            queue: Mutex::new(Queue::default()),
-            available: Condvar::new(),
-            queue_capacity: queue_capacity.max(1),
-            overloads: AtomicU64::new(0),
-            batches_served: AtomicU64::new(0),
-            max_batch_seen: AtomicU64::new(0),
-        }
-    }
-}
-
 /// A cloneable handle that submits requests to a running
 /// [`ServiceServer`] and blocks for the response.
 #[derive(Clone)]
 pub struct ServiceClient {
-    shared: Arc<Shared>,
+    queue: mpsc::SyncSender<Job>,
+    overloads: Arc<AtomicU64>,
 }
 
 impl ServiceClient {
@@ -83,36 +53,32 @@ impl ServiceClient {
     /// rejects the request, and a worker-terminated
     /// [`Response::Error`] at once when the worker has ended.
     pub fn request(&self, req: Request) -> Response {
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            if q.closed {
-                return worker_terminated();
+        let (reply, rx) = mpsc::channel();
+        match self.queue.try_send(Job::Request { req, reply }) {
+            Ok(()) => rx.recv().unwrap_or_else(|_| worker_terminated()),
+            Err(mpsc::TrySendError::Full(_)) => {
+                self.overloads.fetch_add(1, Ordering::Relaxed);
+                Response::Overloaded
             }
-            if q.jobs.len() >= self.shared.queue_capacity {
-                self.shared.overloads.fetch_add(1, Ordering::Relaxed);
-                return Response::Overloaded;
-            }
-            q.jobs.push_back(Job::Request { req, reply: tx });
+            Err(mpsc::TrySendError::Disconnected(_)) => worker_terminated(),
         }
-        self.shared.available.notify_one();
-        rx.recv().unwrap_or_else(|_| worker_terminated())
     }
 
     /// Requests rejected at admission control so far.
     pub fn overload_rejections(&self) -> u64 {
-        self.shared.overloads.load(Ordering::Relaxed)
+        self.overloads.load(Ordering::Relaxed)
     }
+}
 
-    /// Batches the worker has drained so far.
-    pub fn batches_served(&self) -> u64 {
-        self.shared.batches_served.load(Ordering::Relaxed)
-    }
-
-    /// Largest batch the worker has drained in one go.
-    pub fn max_batch_seen(&self) -> u64 {
-        self.shared.max_batch_seen.load(Ordering::Relaxed)
-    }
+/// A client on a fresh queue of `capacity` slots (at least one), and the
+/// queue's receiving end, for the worker.
+fn queue(capacity: usize) -> (ServiceClient, mpsc::Receiver<Job>) {
+    let (queue, jobs) = mpsc::sync_channel(capacity.max(1));
+    let client = ServiceClient {
+        queue,
+        overloads: Arc::default(),
+    };
+    (client, jobs)
 }
 
 /// The answer to a request the worker will never handle.
@@ -120,68 +86,43 @@ fn worker_terminated() -> Response {
     Response::Error("service worker terminated".to_string())
 }
 
-/// Closes the queue when the worker ends, on return and on unwind alike:
-/// marks it closed and drops every queued job, whose reply channel then
-/// fails the waiting client's `recv`.
-struct CloseOnExit(Arc<Shared>);
-
-impl Drop for CloseOnExit {
-    fn drop(&mut self) {
-        // The lock is never held across `handle`, so a panicking worker
-        // cannot have poisoned it; tolerate it anyway, this is the path
-        // that must not fail.
-        let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.closed = true;
-        q.jobs.clear();
-    }
-}
-
 /// The in-process frontend: a worker thread owning a
-/// [`MatchingService`] and draining a bounded FIFO queue in batches.
+/// [`MatchingService`] and serving a bounded FIFO queue.
 pub struct ServiceServer {
     client: ServiceClient,
     worker: thread::JoinHandle<MatchingService>,
 }
 
 impl ServiceServer {
-    /// Spawns the worker thread. Queue capacity and batch size come
-    /// from the service's [`ServiceConfig`](crate::ServiceConfig).
-    pub fn spawn(mut service: MatchingService) -> ServiceServer {
-        let max_batch = service.config().max_batch.max(1);
-        let shared = Arc::new(Shared::new(service.config().queue_capacity));
-        let worker_shared = Arc::clone(&shared);
+    /// Spawns the worker thread. The queue capacity comes from the
+    /// service's [`ServiceConfig`](crate::ServiceConfig).
+    pub fn spawn(service: MatchingService) -> ServiceServer {
+        let (client, jobs) = queue(service.config().queue_capacity);
+        ServiceServer::serve(service, client, jobs)
+    }
+
+    /// Starts the worker on `jobs`, the receiving end of `client`'s
+    /// queue. The worker owns `jobs`, so it drops when the worker
+    /// returns or unwinds, failing every queued and later request.
+    fn serve(
+        mut service: MatchingService,
+        client: ServiceClient,
+        jobs: mpsc::Receiver<Job>,
+    ) -> ServiceServer {
+        let overloads = Arc::clone(&client.overloads);
         let worker = thread::spawn(move || {
-            let _close = CloseOnExit(Arc::clone(&worker_shared));
-            loop {
-                let batch: Vec<Job> = {
-                    let mut q = worker_shared.queue.lock().unwrap();
-                    while q.jobs.is_empty() {
-                        q = worker_shared.available.wait(q).unwrap();
-                    }
-                    let take = q.jobs.len().min(max_batch);
-                    q.jobs.drain(..take).collect()
+            for job in jobs {
+                let Job::Request { req, reply } = job else {
+                    break;
                 };
-                worker_shared.batches_served.fetch_add(1, Ordering::Relaxed);
-                worker_shared
-                    .max_batch_seen
-                    .fetch_max(batch.len() as u64, Ordering::Relaxed);
-                service.set_overload_rejections(worker_shared.overloads.load(Ordering::Relaxed));
-                for job in batch {
-                    match job {
-                        Job::Shutdown => return service,
-                        Job::Request { req, reply } => {
-                            // A disconnected reply channel (client gave up)
-                            // is fine; the state change still applies.
-                            let _ = reply.send(service.handle(&req));
-                        }
-                    }
-                }
+                service.set_overload_rejections(overloads.load(Ordering::Relaxed));
+                // A disconnected reply channel (client gave up) is fine;
+                // the state change still applies.
+                let _ = reply.send(service.handle(&req));
             }
+            service
         });
-        ServiceServer {
-            client: ServiceClient { shared },
-            worker,
-        }
+        ServiceServer { client, worker }
     }
 
     /// A handle for submitting requests; clone freely across threads.
@@ -191,13 +132,12 @@ impl ServiceServer {
 
     /// Stops the worker after the requests already queued ahead of the
     /// shutdown marker, returning the service for inspection. Requests
-    /// queued after the marker get a worker-terminated error.
+    /// queued after the marker get a worker-terminated error. The
+    /// marker takes a queue slot like any request: in a full queue it
+    /// waits for the worker to make room.
     pub fn shutdown(self) -> MatchingService {
-        {
-            let mut q = self.client.shared.queue.lock().unwrap();
-            q.jobs.push_back(Job::Shutdown);
-        }
-        self.client.shared.available.notify_one();
+        // An error means the worker has ended already; `join` says how.
+        let _ = self.client.queue.send(Job::Shutdown);
         self.worker.join().expect("service worker panicked")
     }
 }
@@ -311,11 +251,15 @@ mod tests {
     use rand::SeedableRng;
     use std::time::Duration;
 
-    fn spawn_gnp(n: usize, p: f64, seed: u64, config: ServiceConfig) -> ServiceServer {
+    fn gnp_service(n: usize, p: f64, seed: u64, config: ServiceConfig) -> MatchingService {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut g = generators::gnp(n, p, &mut rng);
         generators::randomize_edge_weights(&mut g, 32, &mut rng);
-        ServiceServer::spawn(MatchingService::new(g, config))
+        MatchingService::new(g, config)
+    }
+
+    fn spawn_gnp(n: usize, p: f64, seed: u64, config: ServiceConfig) -> ServiceServer {
+        ServiceServer::spawn(gnp_service(n, p, seed, config))
     }
 
     #[test]
@@ -372,31 +316,22 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_past_capacity() {
-        // Capacity 1 and a slow-to-start worker: fill the queue from
-        // this thread while holding no lock the worker needs, then
-        // check the second submission bounces.
-        let server = spawn_gnp(
-            10,
-            0.2,
-            62,
-            ServiceConfig {
-                queue_capacity: 1,
-                ..ServiceConfig::default()
-            },
-        );
-        let client = server.client();
-        // Stuff the queue directly: the lock keeps the worker from
-        // draining between the two pushes.
-        {
-            let mut q = client.shared.queue.lock().unwrap();
-            let (tx, _rx) = mpsc::channel();
-            q.jobs.push_back(Job::Request {
-                req: Request::Fingerprint,
-                reply: tx,
-            });
-        }
+        // Capacity 1: fill the queue before any worker serves it, check
+        // the second submission bounces, then start the worker.
+        let config = ServiceConfig {
+            queue_capacity: 1,
+            ..ServiceConfig::default()
+        };
+        let (client, jobs) = queue(config.queue_capacity);
+        let (tx, _rx) = mpsc::channel();
+        let stuffed = Job::Request {
+            req: Request::Fingerprint,
+            reply: tx,
+        };
+        assert!(client.queue.try_send(stuffed).is_ok());
         assert_eq!(client.request(Request::Fingerprint), Response::Overloaded);
         assert_eq!(client.overload_rejections(), 1);
+        let server = ServiceServer::serve(gnp_service(10, 0.2, 62, config), client, jobs);
         let service = server.shutdown();
         assert_eq!(service.stats().overload_rejections, 1);
     }
@@ -425,18 +360,17 @@ mod tests {
 
     #[test]
     fn requests_queued_behind_shutdown_fail_promptly() {
-        let server = spawn_gnp(12, 0.3, 65, ServiceConfig::default());
-        let client = server.client();
+        let config = ServiceConfig::default();
+        let (client, jobs) = queue(config.queue_capacity);
         let (tx, rx) = mpsc::channel();
-        {
-            let mut q = client.shared.queue.lock().unwrap();
-            q.jobs.push_back(Job::Shutdown);
-            q.jobs.push_back(Job::Request {
-                req: Request::Fingerprint,
-                reply: tx,
-            });
-        }
-        client.shared.available.notify_one();
+        let queued = Job::Request {
+            req: Request::Fingerprint,
+            reply: tx,
+        };
+        assert!(client.queue.try_send(Job::Shutdown).is_ok());
+        assert!(client.queue.try_send(queued).is_ok());
+        let service = gnp_service(12, 0.3, 65, config);
+        let server = ServiceServer::serve(service, client.clone(), jobs);
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5)),
             Err(mpsc::RecvTimeoutError::Disconnected),
@@ -451,17 +385,15 @@ mod tests {
 
     #[test]
     fn a_worker_that_panics_fails_queued_and_later_requests() {
-        let shared = Arc::new(Shared::new(8));
-        let client = ServiceClient {
-            shared: Arc::clone(&shared),
-        };
+        let (client, jobs) = queue(8);
         let (tx, rx) = mpsc::channel();
-        shared.queue.lock().unwrap().jobs.push_back(Job::Request {
+        let queued = Job::Request {
             req: Request::Fingerprint,
             reply: tx,
-        });
+        };
+        assert!(client.queue.try_send(queued).is_ok());
         let worker = thread::spawn(move || {
-            let _close = CloseOnExit(shared);
+            let _jobs = jobs;
             panic!("handle panicked");
         });
         assert!(worker.join().is_err());

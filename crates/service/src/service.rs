@@ -4,8 +4,8 @@
 //! [`MatchingService`] owns the current graph once, as a [`DeltaGraph`]
 //! overlay whose canonical base is folded after every accepted batch,
 //! so the base *is* the CSR [`Graph`] the engine runs on. Beside it sit
-//! the *live* incrementally-repaired matching and MIS, the
-//! fingerprint-keyed result caches, and the request counters.
+//! the *live* incrementally-repaired matching and MIS, the per-seed
+//! answer memos for the current graph, and the request counters.
 //! [`handle`](MatchingService::handle) is the whole request dispatch;
 //! the frontends in [`server`](crate::server) only move [`Request`]s to
 //! it and [`Response`]s back.
@@ -23,20 +23,22 @@
 //!   atomically with an [`Response::Error`]. The scratch clone shares
 //!   the graph: it copies only the free-slot list and the overlay's
 //!   pending delta, which is empty between batches.
-//! * **Cache honesty.** Results are keyed by the one-`u64`
-//!   [`DeltaGraph::fingerprint`]; every mutation updates the
-//!   fingerprint in `O(1)`, and an accepted batch evicts entries keyed
-//!   by any other value, so a cached answer is only ever replayed
-//!   against the exact structure it was computed under.
+//! * **Cache honesty.** The memos hold answers for the current graph
+//!   only, at most `cache_capacity` seeds per answer kind, the oldest
+//!   evicted first. Every mutation updates the one-`u64`
+//!   [`DeltaGraph::fingerprint`] in `O(1)`, and an accepted batch that
+//!   changes it empties both memos, so a cached answer is only ever
+//!   replayed against the exact structure it was computed under, and
+//!   client-chosen seeds cannot grow them.
 //!
 //! An accepted `ApplyDeltas` of `k` ops costs `O(k log n)` to validate
 //! and apply, one in-place fold (a sequential `memmove`-and-shift pass
 //! over the CSR arrays, no per-node allocation), and the two repairs.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use congest_approx::matching::{grouped_mwm_repair, mwm_grouped_with_sharded};
-use congest_graph::{DeltaGraph, FingerprintCache, Graph, NodeId, ShardPartition};
+use congest_graph::{DeltaGraph, Graph, NodeId, ShardPartition};
 use congest_mis::{luby_repair, LubyMis, MisResult};
 use congest_sim::{Engine, SimConfig};
 
@@ -49,12 +51,11 @@ pub struct ServiceConfig {
     /// runs. Responses are bit-identical for every value; only
     /// wall-clock and the cross-shard traffic meter change.
     pub shards: usize,
-    /// Most requests a frontend worker drains per batch.
-    pub max_batch: usize,
     /// Admission control: requests beyond this many waiting in the
     /// queue are rejected with [`Response::Overloaded`].
     pub queue_capacity: usize,
-    /// Entries per fingerprint-keyed cache (matching and MIS each).
+    /// Seeds whose answers are kept for the current graph, per answer
+    /// kind (matching and MIS each); 0 caches nothing.
     pub cache_capacity: usize,
     /// Seed for the live matching/MIS maintained across mutations
     /// (initial runs and every repair).
@@ -65,7 +66,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             shards: 1,
-            max_batch: 16,
             queue_capacity: 1024,
             cache_capacity: 8,
             seed: 0xC0FFEE,
@@ -91,8 +91,39 @@ pub struct ServiceStats {
     pub deltas_applied: u64,
 }
 
-/// Per-seed cached matching answers: seed → (weight, pairs).
-type MatchAnswers = BTreeMap<u64, (u64, Vec<(u32, u32)>)>;
+/// The answers computed on the current graph, by seed: at most
+/// `capacity` of them, evicted in insertion order. A linear scan finds
+/// a seed; capacities are a handful of seeds.
+struct SeedMemo<T> {
+    answers: VecDeque<(u64, T)>,
+    capacity: usize,
+}
+
+impl<T> SeedMemo<T> {
+    fn new(capacity: usize) -> Self {
+        SeedMemo {
+            answers: VecDeque::new(),
+            capacity,
+        }
+    }
+
+    fn get(&self, seed: u64) -> Option<&T> {
+        self.answers
+            .iter()
+            .find_map(|(s, a)| (*s == seed).then_some(a))
+    }
+
+    /// Keeps `answer` for `seed`, which [`get`](Self::get) missed.
+    fn insert(&mut self, seed: u64, answer: T) {
+        if self.capacity == 0 {
+            return;
+        }
+        if self.answers.len() == self.capacity {
+            self.answers.pop_front();
+        }
+        self.answers.push_back((seed, answer));
+    }
+}
 
 /// The matching-as-a-service core. See the module docs for the design.
 pub struct MatchingService {
@@ -108,10 +139,10 @@ pub struct MatchingService {
     mate_of: Vec<Option<u32>>,
     /// Live MIS results, repaired incrementally on every `ApplyDeltas`.
     live_mis: Vec<MisResult>,
-    /// seed → (weight, pairs), keyed by fingerprint.
-    match_cache: FingerprintCache<MatchAnswers>,
-    /// seed → in-set slot ids, keyed by fingerprint.
-    mis_cache: FingerprintCache<BTreeMap<u64, Vec<u32>>>,
+    /// seed → (weight, pairs) on the current graph.
+    match_cache: SeedMemo<(u64, Vec<(u32, u32)>)>,
+    /// seed → in-set slot ids on the current graph.
+    mis_cache: SeedMemo<Vec<u32>>,
     stats: ServiceStats,
     /// Delivered messages that crossed a shard boundary, summed over
     /// every engine run this service performed. Deliberately not part
@@ -157,8 +188,8 @@ impl MatchingService {
 
         let mate_of = mate_map(graph.num_nodes(), &live_pairs);
         let (match_cache, mis_cache) = (
-            FingerprintCache::new(config.cache_capacity),
-            FingerprintCache::new(config.cache_capacity),
+            SeedMemo::new(config.cache_capacity),
+            SeedMemo::new(config.cache_capacity),
         );
         MatchingService {
             config,
@@ -215,7 +246,7 @@ impl MatchingService {
 
     /// Folds the frontend's admission-control rejection count into the
     /// stats snapshot. Called by the queue worker before handling each
-    /// batch; a directly-driven service leaves it at zero.
+    /// request; a directly-driven service leaves it at zero.
     pub fn set_overload_rejections(&mut self, n: u64) {
         self.stats.overload_rejections = n;
     }
@@ -243,16 +274,14 @@ impl MatchingService {
 
     fn match_users(&mut self, seed: u64) -> Response {
         let fp = self.fingerprint();
-        if let Some(per_seed) = self.match_cache.get_mut(fp) {
-            if let Some((weight, pairs)) = per_seed.get(&seed) {
-                self.stats.cache_hits += 1;
-                return Response::Matching {
-                    fingerprint: fp,
-                    cached: true,
-                    weight: *weight,
-                    pairs: pairs.clone(),
-                };
-            }
+        if let Some((weight, pairs)) = self.match_cache.get(seed) {
+            self.stats.cache_hits += 1;
+            return Response::Matching {
+                fingerprint: fp,
+                cached: true,
+                weight: *weight,
+                pairs: pairs.clone(),
+            };
         }
         self.stats.cache_misses += 1;
         let graph = self.overlay.base();
@@ -271,16 +300,7 @@ impl MatchingService {
             })
             .collect();
         let weight = run.matching.weight(graph);
-        match self.match_cache.get_mut(fp) {
-            Some(per_seed) => {
-                per_seed.insert(seed, (weight, pairs.clone()));
-            }
-            None => {
-                let mut per_seed = BTreeMap::new();
-                per_seed.insert(seed, (weight, pairs.clone()));
-                self.match_cache.insert(fp, per_seed);
-            }
-        }
+        self.match_cache.insert(seed, (weight, pairs.clone()));
         Response::Matching {
             fingerprint: fp,
             cached: false,
@@ -291,15 +311,13 @@ impl MatchingService {
 
     fn mis_query(&mut self, seed: u64) -> Response {
         let fp = self.fingerprint();
-        if let Some(per_seed) = self.mis_cache.get_mut(fp) {
-            if let Some(in_set) = per_seed.get(&seed) {
-                self.stats.cache_hits += 1;
-                return Response::Mis {
-                    fingerprint: fp,
-                    cached: true,
-                    in_set: in_set.clone(),
-                };
-            }
+        if let Some(in_set) = self.mis_cache.get(seed) {
+            self.stats.cache_hits += 1;
+            return Response::Mis {
+                fingerprint: fp,
+                cached: true,
+                in_set: in_set.clone(),
+            };
         }
         self.stats.cache_misses += 1;
         let graph = self.overlay.base();
@@ -317,16 +335,7 @@ impl MatchingService {
             .filter(|(_, r)| **r == MisResult::InSet)
             .map(|(i, _)| i as u32)
             .collect();
-        match self.mis_cache.get_mut(fp) {
-            Some(per_seed) => {
-                per_seed.insert(seed, in_set.clone());
-            }
-            None => {
-                let mut per_seed = BTreeMap::new();
-                per_seed.insert(seed, in_set.clone());
-                self.mis_cache.insert(fp, per_seed);
-            }
-        }
+        self.mis_cache.insert(seed, in_set.clone());
         Response::Mis {
             fingerprint: fp,
             cached: false,
@@ -335,21 +344,23 @@ impl MatchingService {
     }
 
     fn is_independent(&self, nodes: &[u32]) -> Response {
-        let n = self.overlay.num_slots() as u32;
+        // The folded base is the current graph: the set is independent
+        // iff no member's CSR row holds a larger member. The largest
+        // member's row is never read, so a pair costs one row, as one
+        // `has_edge` would.
+        let graph = self.graph();
+        let n = graph.num_nodes() as u32;
         if let Some(&bad) = nodes.iter().find(|&&v| v >= n) {
             return Response::Error(format!("node {bad} out of range (slots 0..{n})"));
         }
         let mut sorted: Vec<u32> = nodes.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        for (i, &u) in sorted.iter().enumerate() {
-            for &v in &sorted[i + 1..] {
-                if self.overlay.has_edge(NodeId(u), NodeId(v)) {
-                    return Response::Independent(false);
-                }
-            }
-        }
-        Response::Independent(true)
+        let conflict = (1..sorted.len()).any(|i| {
+            let (larger, row) = (&sorted[i..], graph.neighbor_ids(NodeId(sorted[i - 1])));
+            row.iter().any(|v| larger.binary_search(&v.0).is_ok())
+        });
+        Response::Independent(!conflict)
     }
 
     fn is_matched(&self, node: u32) -> Response {
@@ -374,14 +385,17 @@ impl MatchingService {
                 return Response::Error(format!("op {i} rejected: {why}"));
             }
         }
+        let before = self.fingerprint();
         self.overlay = scratch;
         let deltas = self.overlay.take_log();
         self.overlay.fold();
         let fingerprint = self.overlay.fingerprint();
         let graph = self.overlay.base();
         self.partition = ShardPartition::contiguous(graph.num_nodes(), self.config.shards);
-        self.match_cache.retain_current(fingerprint);
-        self.mis_cache.retain_current(fingerprint);
+        if fingerprint != before {
+            self.match_cache.answers.clear();
+            self.mis_cache.answers.clear();
+        }
 
         // Repairs run on the sequential executor: their round counts go
         // out on the wire, so they must not depend on the shard count
@@ -660,6 +674,87 @@ mod tests {
             svc.handle(&Request::IsIndependent { nodes: vec![0, 2] }),
             Response::Independent(false)
         );
+
+        // A served MIS of thousands of nodes, before and after a batch.
+        let mut svc = service_on_gnp(2000, 0.004, 48, ServiceConfig::default());
+        let independent = |svc: &mut MatchingService, nodes: Vec<u32>| {
+            svc.handle(&Request::IsIndependent { nodes }) == Response::Independent(true)
+        };
+        for _ in 0..2 {
+            let resp = svc.handle(&Request::MisQuery { seed: 5 });
+            let Response::Mis { in_set, .. } = resp else {
+                panic!("expected an MIS, got {resp:?}");
+            };
+            assert!(independent(&mut svc, in_set.clone()));
+            // The set is maximal: every other node has a neighbour in it.
+            for v in (0..2000)
+                .filter(|v| in_set.binary_search(v).is_err())
+                .step_by(37)
+            {
+                assert!(
+                    !independent(&mut svc, [&in_set[..], &[v]].concat()),
+                    "node {v}"
+                );
+            }
+            // Joining two members makes the served set dependent.
+            let resp = svc.handle(&Request::ApplyDeltas {
+                ops: vec![DeltaOp::InsertEdge(in_set[0], in_set[1], 1)],
+            });
+            assert!(matches!(resp, Response::Applied { .. }), "got {resp:?}");
+            assert!(!independent(&mut svc, in_set));
+        }
+    }
+
+    /// Whether `req`, a `MatchUsers` or `MisQuery`, was served from cache.
+    fn cached(svc: &mut MatchingService, req: &Request) -> bool {
+        match svc.handle(req) {
+            Response::Matching { cached, .. } | Response::Mis { cached, .. } => cached,
+            other => panic!("expected an answer, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_seed_memo_keeps_the_newest_seeds() {
+        // (capacity, whether seed 2 is still cached after seeds 0, 1, 2
+        // and a repeat of seed 0).
+        for (capacity, newest_cached) in [(2, true), (0, false)] {
+            let config = ServiceConfig {
+                cache_capacity: capacity,
+                ..ServiceConfig::default()
+            };
+            let mut svc = service_on_gnp(20, 0.2, 46, config);
+            for kind in [
+                |seed| Request::MatchUsers { seed },
+                |seed| Request::MisQuery { seed },
+            ] {
+                for seed in 0..3 {
+                    assert!(!cached(&mut svc, &kind(seed)));
+                }
+                assert!(!cached(&mut svc, &kind(0)), "capacity {capacity}");
+                assert_eq!(cached(&mut svc, &kind(2)), newest_cached);
+            }
+            let hits = if newest_cached { 2 } else { 0 };
+            assert_eq!(svc.stats().cache_hits, hits);
+            assert_eq!(svc.stats().cache_misses, 10 - hits);
+        }
+    }
+
+    #[test]
+    fn a_batch_that_keeps_the_fingerprint_keeps_the_memo() {
+        let mut svc = service_on_gnp(20, 0.2, 47, ServiceConfig::default());
+        assert!(!cached(&mut svc, &Request::MatchUsers { seed: 3 }));
+        let before = svc.fingerprint();
+        let v = (1..20)
+            .find(|&v| !svc.graph().has_edge(NodeId(0), NodeId(v)))
+            .expect("node 0 has a non-neighbour");
+        let resp = svc.handle(&Request::ApplyDeltas {
+            ops: vec![DeltaOp::InsertEdge(0, v, 5), DeltaOp::RemoveEdge(0, v)],
+        });
+        assert!(
+            matches!(resp, Response::Applied { fingerprint, .. } if fingerprint == before),
+            "got {resp:?}"
+        );
+        assert!(cached(&mut svc, &Request::MatchUsers { seed: 3 }));
     }
 
     #[test]

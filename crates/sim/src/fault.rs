@@ -58,7 +58,8 @@ use congest_graph::NodeId;
 
 use crate::rng::{coin, mix4};
 
-/// A deterministic fault adversary (see the [module docs](self)).
+/// A deterministic fault adversary: seeded message drops, duplication,
+/// reordering, corruption, node crashes and restarts.
 ///
 /// With every probability at `0.0` the adversary never fires; the engine
 /// additionally special-cases `SimConfig::adversary == None` so the
