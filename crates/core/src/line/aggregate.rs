@@ -25,13 +25,16 @@ use super::{edge_infos, EdgeInfo};
 /// Definitions 2.4–2.7: per round each edge exposes a *contribution*
 /// (an element of the alphabet `Σ`) and observes only the `φ`-join of its
 /// line-graph neighbors' contributions.
-pub trait EdgeProtocol {
+///
+/// `Send`, with a `Send` output, because the naive explicit-`L(G)`
+/// simulation runs it as an engine [`Protocol`](congest_sim::Protocol).
+pub trait EdgeProtocol: Send {
     /// The alphabet `Σ` (must be `O(log n)` bits for CONGEST; metered).
     /// The [`PackedMsg`] bound lets the naive explicit-`L(G)` simulation
     /// run on the packed message planes.
     type Agg: PackedMsg;
     /// Final per-edge output.
-    type Output: Clone + std::fmt::Debug;
+    type Output: Clone + std::fmt::Debug + Send;
 
     /// The identity element `ε` (`φ(ε, x) = x`).
     fn identity() -> Self::Agg;

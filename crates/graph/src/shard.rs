@@ -1,20 +1,28 @@
-//! Contiguous node-slot sharding for the matching-as-a-service façade.
+//! Contiguous node-slot sharding: the partition every round-engine
+//! executor runs over, and the shard map of the matching-as-a-service
+//! façade.
 //!
 //! A [`ShardPartition`] splits the slot-id space `0..n` into `k`
 //! contiguous ranges. Contiguity is what makes sharding free on the CSR
 //! representation: a shard's message-plane rows (`row_offsets[start] ..
 //! row_offsets[end]`) are one contiguous block, so per-shard worker
 //! threads operate on disjoint plane slices without any index
-//! translation, and cross-shard edges are exactly the CSR rows whose
-//! neighbor id falls outside the owner's range.
+//! translation, and cross-shard edges are exactly the CSR row entries
+//! whose neighbor id falls outside the owner's range — one range check
+//! each, for the engine's cross-shard message meter as for
+//! [`ShardPartition::cross_shard_edges`].
 //!
 //! The partition is a pure function of `(n, shards)`, so every replica
 //! that agrees on the graph agrees on the shard map — no coordination
 //! state to reconcile and nothing to persist besides the two integers.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 
 /// A partition of the node-slot space `0..n` into contiguous shards.
+///
+/// The round engine runs over one: its sequential executor is one shard,
+/// its parallel executor one equal shard per worker, and its sharded
+/// executor takes any partition of the graph's slots.
 ///
 /// Shard `s` owns the half-open slot range [`range`](Self::range)`(s)`;
 /// ranges are balanced to within one slot (the first `n % k` shards are
@@ -68,23 +76,6 @@ impl ShardPartition {
         self.starts[s] as usize..self.starts[s + 1] as usize
     }
 
-    /// The shard owning slot `v` (binary search over the `k + 1` range
-    /// starts).
-    ///
-    /// # Panics
-    /// Panics if `v` is outside the covered slot space.
-    pub fn shard_of(&self, v: NodeId) -> usize {
-        assert!(
-            (v.index()) < self.num_slots(),
-            "ShardPartition::shard_of: slot {} outside 0..{}",
-            v.index(),
-            self.num_slots()
-        );
-        // partition_point returns the count of starts ≤ v, which is the
-        // owning shard + 1 (starts[0] = 0 is always ≤ v).
-        self.starts.partition_point(|&s| s <= v.0) - 1
-    }
-
     /// Number of undirected edges of `g` whose endpoints live in
     /// different shards — the coordinator↔worker communication surface
     /// a sharded run pays for.
@@ -98,12 +89,23 @@ impl ShardPartition {
             g.num_nodes(),
             self.num_slots()
         );
-        g.edges()
-            .filter(|&e| {
-                let (u, v) = g.endpoints(e);
-                self.shard_of(u) != self.shard_of(v)
+        let n = g.num_nodes();
+        let crossings: usize = (0..self.shards())
+            .map(|s| {
+                let shard = self.range(s);
+                let (lo, len) = (shard.start as u32, shard.len() as u32);
+                // The shard's CSR rows are one block; a neighbour below
+                // `lo` wraps past `len`, so one compare finds an outsider.
+                let block = g.row_offsets[shard.start.min(n)] as usize
+                    ..g.row_offsets[shard.end.min(n)] as usize;
+                g.neighbor_ids[block]
+                    .iter()
+                    .filter(|u| u.0.wrapping_sub(lo) >= len)
+                    .count()
             })
-            .count()
+            .sum();
+        // Each crossing edge is seen from both endpoints' rows.
+        crossings / 2
     }
 }
 
@@ -133,16 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_of_agrees_with_ranges() {
-        let p = ShardPartition::contiguous(100, 7);
-        for s in 0..p.shards() {
-            for v in p.range(s) {
-                assert_eq!(p.shard_of(NodeId(v as u32)), s);
-            }
-        }
-    }
-
-    #[test]
     fn one_shard_has_no_cross_edges() {
         let g = generators::complete(9);
         let p = ShardPartition::contiguous(9, 1);
@@ -155,6 +147,28 @@ mod tests {
         let g = generators::path(10);
         let p = ShardPartition::contiguous(10, 2);
         assert_eq!(p.cross_shard_edges(&g), 1);
+    }
+
+    #[test]
+    fn cross_edges_match_an_endpoint_scan() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(8);
+        for n in [1usize, 13, 200] {
+            let g = generators::gnp(n, 0.1, &mut rng);
+            for k in [1usize, 2, 3, 7, 250] {
+                let p = ShardPartition::contiguous(n, k);
+                let shard = |v: usize| (0..k).position(|s| p.range(s).contains(&v));
+                let expected = g
+                    .edges()
+                    .filter(|&e| {
+                        let (u, v) = g.endpoints(e);
+                        shard(u.index()) != shard(v.index())
+                    })
+                    .count();
+                assert_eq!(p.cross_shard_edges(&g), expected, "n = {n}, k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -474,8 +474,7 @@ fn run_mis_both<P>(
     seed: u64,
 ) -> RunOutcome<MisResult>
 where
-    P: Protocol<Output = MisResult> + Send,
-    P::Msg: Send,
+    P: Protocol<Output = MisResult>,
 {
     let seq = Engine::build(g, config.clone(), move |_| factory()).run(seed);
     let par = Engine::build(g, config.clone(), move |_| factory()).run_parallel(seed);

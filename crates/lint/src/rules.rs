@@ -152,9 +152,11 @@ const ENGINE_LOOP_FNS: &[&str] = &[
     "run_parallel",
     "run_parallel_with",
     "run_sharded",
-    "run_split",
-    "run_with",
-    "pieces",
+    "run_on",
+    "runs_inline",
+    "shard_runs",
+    "compute",
+    "deliver",
     "row",
     "info",
     "step",

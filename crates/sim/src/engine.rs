@@ -1,7 +1,8 @@
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use congest_graph::{DeltaSet, Graph, NodeId, ShardPartition};
+use congest_graph::{Graph, NodeId, ShardPartition};
 use rand::rngs::SmallRng;
 
 use crate::message::bits_for_count;
@@ -322,15 +323,6 @@ struct NodeState<P: Protocol> {
     /// round number — instead of `round`, exactly like a node booting
     /// with reset state.
     needs_init: bool,
-}
-
-/// One worker's share of a split compute phase: a run of the ascending
-/// active-id list, and the state rows of the id range it spans
-/// (`rows[0]` is node `base`'s).
-struct Piece<'a, P: Protocol> {
-    ids: &'a [u32],
-    rows: &'a mut [NodeState<P>],
-    base: usize,
 }
 
 /// Raw shared handle to one message plane: a flat array of packed payload
@@ -713,6 +705,9 @@ struct Tally {
     delayed_messages: u64,
     duplicated_messages: u64,
     corrupted_messages: u64,
+    /// Messages to a receiver outside the sender's shard
+    /// ([`ShardedRun::cross_shard_messages`]); not part of [`RunStats`].
+    crossed: u64,
 }
 
 impl Tally {
@@ -729,6 +724,7 @@ impl Tally {
             delayed_messages: self.delayed_messages + other.delayed_messages,
             duplicated_messages: self.duplicated_messages + other.duplicated_messages,
             corrupted_messages: self.corrupted_messages + other.corrupted_messages,
+            crossed: self.crossed + other.crossed,
         }
     }
 
@@ -745,16 +741,51 @@ impl Tally {
     }
 }
 
-/// Minimum active ids *per worker* below which `run_parallel` steps and
-/// delivers inline: spawning workers for a nearly-drained (or small) round
-/// costs more than the round.
+/// Minimum active ids *per shard* for a phase to run on one scoped
+/// thread per shard; below it (and always on one shard) the calling
+/// thread runs the phase, since spawning workers for a nearly-drained
+/// (or small) round costs more than the round.
 const PAR_MIN_SLOTS_PER_WORKER: usize = 1024;
+
+/// Whether a phase over `active` ids of a run on `shards` shards runs on
+/// the calling thread (see [`PAR_MIN_SLOTS_PER_WORKER`]).
+fn runs_inline(active: usize, shards: usize) -> bool {
+    shards == 1 || active < shards.saturating_mul(PAR_MIN_SLOTS_PER_WORKER)
+}
+
+/// The ascending active-id list `ids` cut at `partition`'s boundaries:
+/// each shard's run of it, found by `partition_point`, with the shard's
+/// slot range, in shard order.
+fn shard_runs<'a>(
+    ids: &'a [u32],
+    partition: &'a ShardPartition,
+) -> impl Iterator<Item = (&'a [u32], Range<usize>)> + 'a {
+    let mut rest = ids;
+    (0..partition.shards()).map(move |s| {
+        let shard = partition.range(s);
+        let (run, tail) = rest.split_at(rest.partition_point(|&v| (v as usize) < shard.end));
+        rest = tail;
+        (run, shard)
+    })
+}
 
 /// Runs one [`Protocol`] instance per node of a graph.
 ///
 /// Build with [`Engine::build`], execute with [`Engine::run`] (or
-/// [`Engine::run_parallel`], which produces bit-identical results). See the
-/// crate-level docs for an end-to-end example.
+/// [`Engine::run_parallel`] / [`Engine::run_sharded`], which produce
+/// bit-identical results). See the crate-level docs for an end-to-end
+/// example.
+///
+/// # One executor
+///
+/// All three are one round loop over a [`ShardPartition`] of the slot
+/// space: `run` is one shard, `run_parallel` one equal contiguous shard
+/// per worker, and `run_sharded` the caller's partition. A phase with
+/// enough active ids per shard runs on one scoped thread per shard, each
+/// over its own run of the ascending active-id list and its own state
+/// rows; any other phase runs on the calling thread. Either way every
+/// message to a receiver outside its sender's shard is counted, by one
+/// range check, in [`ShardedRun::cross_shard_messages`].
 ///
 /// # Round semantics
 ///
@@ -780,8 +811,10 @@ const PAR_MIN_SLOTS_PER_WORKER: usize = 1024;
 /// Every message plane (2·`m` packed payload words plus the occupancy
 /// bitmap — see [`plane_bytes_for`]) and every other buffer of the round
 /// loop is allocated once, in `build`/`run`; the steady-state loop
-/// performs **zero engine-side heap allocations** (the traced path, which
-/// pushes [`MessageTrace`]s, is the documented small-graph exception).
+/// performs **zero engine-side heap allocations** in rounds it runs on
+/// the calling thread (the traced path, which pushes [`MessageTrace`]s,
+/// is the documented small-graph exception, and a round on scoped
+/// threads allocates their handles).
 /// Per node, a run keeps only what changes while it runs — the protocol,
 /// its RNG, a halt latch and two flags, in one row indexed by id that
 /// never moves — plus a send-occupancy offset and an entry in an
@@ -836,83 +869,81 @@ impl<'g, P: Protocol> Engine<'g, P> {
         }
     }
 
-    /// Retargets the engine onto a mutated topology between runs: `graph`
-    /// is the compacted successor of the engine's current graph (same
-    /// slot-id space — typically `DeltaGraph::compact` output, so slot
-    /// ids are stable and `n` never shrinks), `deltas` the applied
-    /// mutation log.
-    ///
-    /// Message planes and occupancy bitmaps are *not* carried over — the
-    /// next `run` allocates them from the new graph's CSR shape, so they
-    /// grow and shrink with the directed-edge count and removed rows
-    /// simply cease to exist. Protocol instances of surviving nodes are
-    /// kept (their per-node state is what incremental repair feeds on);
-    /// nodes named in [`DeltaSet::joined`] or [`DeltaSet::left`] are
-    /// re-instantiated factory-fresh, as are slots beyond the old `n`.
-    ///
-    /// # Panics
-    /// Panics if `graph` has fewer slots than the current graph, or if a
-    /// delta entry references a node outside `graph`.
-    pub fn apply_deltas(self, graph: &'g Graph, deltas: &DeltaSet) -> Self {
-        let old_n = self.graph.num_nodes();
-        let n = graph.num_nodes();
-        assert!(
-            n >= old_n,
-            "Engine::apply_deltas: graph must keep the slot-id space \
-             ({n} slots < previous {old_n})"
-        );
-        for &v in deltas.joined.iter().chain(&deltas.left) {
-            assert!(
-                v.index() < n,
-                "Engine::apply_deltas: delta node {v} out of range (slots 0..{n})"
-            );
-        }
-        for &(u, v) in deltas.inserted.iter().chain(&deltas.removed) {
-            assert!(
-                u.index() < n && v.index() < n,
-                "Engine::apply_deltas: delta edge {u}–{v} out of range (slots 0..{n})"
-            );
-        }
-        self.config.validate();
-        let globals = Globals::of(graph);
-        let mut reset = vec![false; n];
-        for &v in deltas.joined.iter().chain(&deltas.left) {
-            reset[v.index()] = true;
-        }
-        let mut factory = self.factory;
-        let mut old_nodes = self.nodes.into_iter();
-        let nodes = graph
-            .nodes()
-            .map(|v| match old_nodes.next() {
-                Some(proto) if v.index() < old_n && !reset[v.index()] => proto,
-                _ => factory(&globals.info(graph, v)),
-            })
-            .collect();
-        Engine {
-            graph,
-            config: self.config,
-            globals,
-            nodes,
-            factory,
-        }
+    /// Runs the protocol to completion (all nodes halted) or to the round
+    /// cap, using `seed` to derive every node's private RNG, on the
+    /// calling thread: the executor over one shard.
+    pub fn run(self, seed: u64) -> RunOutcome<P::Output> {
+        let n = self.graph.num_nodes();
+        self.run_on(seed, &ShardPartition::contiguous(n, 1)).0
     }
 
-    /// Runs the protocol to completion (all nodes halted) or to the round
-    /// cap, using `seed` to derive every node's private RNG.
-    pub fn run(self, seed: u64) -> RunOutcome<P::Output> {
-        self.run_with(
-            seed,
-            |ids, rows, round, layout| Self::step_all(ids, rows, 0, round, layout),
-            |ids, layout, args| {
-                // SAFETY: `run` delivers every phase on this one thread.
-                unsafe { Self::deliver_all(ids, layout, args, BitSet::Plain, |_, _, _| {}) }
-            },
-        )
+    /// Like [`run`](Engine::run), but executes each round's compute *and*
+    /// delivery phases on all hardware threads: the executor over one
+    /// equal contiguous shard of the slot space per thread.
+    ///
+    /// Outputs, statistics, and traces are bit-identical to the
+    /// sequential path for the same `seed`: every node steps against its
+    /// own private [`SmallRng`] and disjoint plane rows (no cross-node
+    /// state), delivery writes each directed edge's unique cell, and the
+    /// statistics merge with commutative sums/max. Rounds with fewer than
+    /// a fixed number of active ids per shard (every round, on a
+    /// single-threaded host) execute inline, so the parallel executor
+    /// degrades to the sequential one instead of paying worker overhead it
+    /// cannot recoup.
+    pub fn run_parallel(self, seed: u64) -> RunOutcome<P::Output> {
+        self.run_parallel_with(seed, rayon::current_num_threads())
+    }
+
+    /// [`run_parallel`](Self::run_parallel) with an explicit worker count
+    /// instead of the host's hardware parallelism — the bench harness
+    /// sweeps this to record a `threads` column, and tests use it to
+    /// exercise the multi-worker path on single-core hosts. `threads` is
+    /// clamped to `1..=max(n, 1)`, so no shard is empty. Results are
+    /// bit-identical to [`run`](Self::run) for any `threads`.
+    pub fn run_parallel_with(self, seed: u64, threads: usize) -> RunOutcome<P::Output> {
+        let n = self.graph.num_nodes();
+        let shards = threads.clamp(1, n.max(1));
+        self.run_on(seed, &ShardPartition::contiguous(n, shards)).0
+    }
+
+    /// Shard-partitioned executor for the matching-as-a-service façade:
+    /// each shard's contiguous id range is stepped and delivered by its
+    /// own worker thread (or, in small rounds, all shards in turn by the
+    /// calling thread), and every message crossing a shard boundary is
+    /// metered as coordinator↔worker traffic — the per-party
+    /// communication count of the Huang–Radunovic–Vojnovic–Zhang k-party
+    /// model, taken by one range check against the sender's shard.
+    ///
+    /// Outputs, statistics, and completion are **bit-identical to
+    /// [`run`](Self::run)** for the same `(graph, config, seed)`, for any
+    /// partition: [`run`](Self::run) and
+    /// [`run_parallel`](Self::run_parallel) are this executor over one
+    /// shard and over equal shards. The cross-shard meter is kept out of
+    /// [`RunStats`] so stats equality across partitions stays exact.
+    ///
+    /// # Panics
+    /// Panics if `partition` does not cover exactly the graph's slots.
+    pub fn run_sharded(self, seed: u64, partition: &ShardPartition) -> ShardedRun<P::Output> {
+        assert_eq!(
+            partition.num_slots(),
+            self.graph.num_nodes(),
+            "Engine::run_sharded: partition covers {} slots, graph has {}",
+            partition.num_slots(),
+            self.graph.num_nodes()
+        );
+        let cross_shard_edges = partition.cross_shard_edges(self.graph);
+        let (outcome, cross_shard_messages) = self.run_on(seed, partition);
+        ShardedRun {
+            outcome,
+            shards: partition.shards(),
+            cross_shard_edges,
+            cross_shard_messages,
+        }
     }
 
     /// Compute phase over the active ids `ids`, whose state rows are
     /// `rows` from node `base`'s on: a whole phase (`base` 0), or one
-    /// worker's piece of it.
+    /// shard's run of it.
     fn step_all(
         ids: &[u32],
         rows: &mut [NodeState<P>],
@@ -925,18 +956,78 @@ impl<'g, P: Protocol> Engine<'g, P> {
         }
     }
 
-    /// Delivery from the senders `ids` by one worker, the sole entry to
-    /// the delivery kernel for every executor. `on_message(from, to,
-    /// bits)` runs once per message before its drop decision — the trace
-    /// and cross-shard hook; the other paths pass a no-op closure that
-    /// monomorphizes away.
+    /// Compute phase of `round`: on the calling thread, or one scoped
+    /// thread per shard with active ids, stepping the shard's run of
+    /// `ids` against its own state rows `rows[range]`, taken with
+    /// `split_at_mut`.
+    fn compute(
+        ids: &[u32],
+        rows: &mut [NodeState<P>],
+        round: usize,
+        layout: &Layout<'g>,
+        partition: &ShardPartition,
+    ) {
+        if runs_inline(ids.len(), partition.shards()) {
+            return Self::step_all(ids, rows, 0, round, layout);
+        }
+        std::thread::scope(|scope| {
+            let mut rest = rows;
+            for (ids, shard) in shard_runs(ids, partition) {
+                let (rows, tail) = std::mem::take(&mut rest).split_at_mut(shard.len());
+                rest = tail;
+                if !ids.is_empty() {
+                    scope.spawn(move || Self::step_all(ids, rows, shard.start, round, layout));
+                }
+            }
+        });
+    }
+
+    /// Untraced delivery phase: on the calling thread, or one scoped
+    /// thread per shard with senders, whose tallies merge at the end.
+    fn deliver(
+        ids: &[u32],
+        layout: &Layout<'g>,
+        args: &DeliverArgs<'_>,
+        partition: &ShardPartition,
+    ) -> Tally {
+        let runs = shard_runs(ids, partition);
+        if runs_inline(ids.len(), partition.shards()) {
+            // SAFETY: no worker is spawned; this thread delivers the
+            // whole phase.
+            return unsafe { Self::deliver_all(runs, layout, args, BitSet::Plain, |_, _, _| {}) };
+        }
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = runs
+                .filter(|(ids, _)| !ids.is_empty())
+                .map(|run| {
+                    // SAFETY: atomic bit sets, as several workers deliver
+                    // this phase.
+                    scope.spawn(move || unsafe {
+                        Self::deliver_all([run], layout, args, BitSet::Atomic, |_, _, _| {})
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .fold(Tally::default(), Tally::merge)
+        })
+    }
+
+    /// Delivery from the senders of `runs` — each a run of the active
+    /// list and the slot range of the shard it belongs to — by one
+    /// worker: the sole entry to the delivery kernel. A message to a
+    /// receiver outside its sender's shard counts in [`Tally::crossed`].
+    /// `on_message(from, to, bits)` runs once per message before its drop
+    /// decision — the trace hook; the untraced paths pass a no-op closure
+    /// that monomorphizes away.
     ///
     /// # Safety
     /// With `mode` = [`BitSet::Plain`], no other thread may deliver into
     /// the planes while this call runs: the caller delivers the whole
     /// phase. [`BitSet::Atomic`] is sound under any concurrency.
-    unsafe fn deliver_all<'p>(
-        ids: &[u32],
+    unsafe fn deliver_all<'a, 'p>(
+        runs: impl IntoIterator<Item = (&'a [u32], Range<usize>)>,
         layout: &'p Layout<'g>,
         args: &DeliverArgs<'p>,
         mode: BitSet,
@@ -944,238 +1035,28 @@ impl<'g, P: Protocol> Engine<'g, P> {
     ) -> Tally {
         let mut tally = Tally::default();
         let mut batch = Batch::new(args.next, mode);
-        for &v in ids {
-            Self::deliver_node(v, layout, args, &mut batch, &mut tally, &mut on_message);
+        for (ids, shard) in runs {
+            let (lo, len) = (shard.start as u32, shard.len() as u32);
+            let mut crossed = 0;
+            let mut hook = |from, to: NodeId, bits| {
+                // One unsigned compare: ids below `lo` wrap past `len`.
+                crossed += u64::from(to.0.wrapping_sub(lo) >= len);
+                on_message(from, to, bits);
+            };
+            for &v in ids {
+                Self::deliver_node(v, layout, args, &mut batch, &mut tally, &mut hook);
+            }
+            tally.crossed += crossed;
         }
         tally
     }
 
-    /// Like [`run`](Engine::run), but executes each round's compute *and*
-    /// delivery phases on all hardware threads, splitting the ascending
-    /// active-id list into equal pieces (halted nodes cost nothing).
-    ///
-    /// Outputs, statistics, and traces are bit-identical to the
-    /// sequential path for the same `seed`: every node steps against its
-    /// own private [`SmallRng`] and disjoint plane rows (no cross-node
-    /// state), delivery writes each directed edge's unique cell, and the
-    /// statistics merge with commutative sums/max. Rounds whose active set
-    /// is smaller than a fixed threshold (or the whole run, on a
-    /// single-threaded host) execute inline, so the parallel executor
-    /// degrades to the sequential one instead of paying worker overhead it
-    /// cannot recoup.
-    pub fn run_parallel(self, seed: u64) -> RunOutcome<P::Output>
-    where
-        P: Send,
-        P::Output: Send,
-    {
-        let threads = rayon::current_num_threads().max(1);
-        self.run_parallel_with(seed, threads)
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with an explicit worker count
-    /// instead of the host's hardware parallelism — the bench harness
-    /// sweeps this to record a `threads` column, and tests use it to
-    /// exercise the multi-worker path on single-core hosts. Results are
-    /// bit-identical to [`run`](Self::run) for any `threads`.
-    pub fn run_parallel_with(self, seed: u64, threads: usize) -> RunOutcome<P::Output>
-    where
-        P: Send,
-        P::Output: Send,
-    {
-        let threads = threads.max(1);
-        if threads == 1 {
-            // One worker: the parallel executor cannot win, so take the
-            // sequential loop wholesale (identical code path, identical
-            // results, zero overhead).
-            return self.run(seed);
-        }
-        let inline_below = threads.saturating_mul(PAR_MIN_SLOTS_PER_WORKER);
-        let equal = |ids: &[u32], k: usize| k * ids.len() / threads;
-        self.run_split(seed, threads, inline_below, equal, |_, _| false)
-            .0
-    }
-
-    /// Shard-partitioned executor for the matching-as-a-service façade:
-    /// each shard's contiguous id range is stepped and delivered by its
-    /// own worker thread, and every message crossing a shard boundary is
-    /// metered as coordinator↔worker traffic (the Huang–Radunovic–
-    /// Vojnovic–Zhang communication model: cross-shard edges *are* the
-    /// cost surface, carried here as the same packed-u64 plane rows as
-    /// intra-shard ones).
-    ///
-    /// Outputs, statistics, and completion are **bit-identical to
-    /// [`run`](Self::run)** for the same `(graph, config, seed)`, for any
-    /// partition: nodes step against private RNGs and disjoint plane
-    /// rows, delivery writes each directed edge's unique cell, and
-    /// tallies merge commutatively — the run ≡ run_parallel contract
-    /// extended with a third executor. Each phase splits the ascending
-    /// active-id list at the partition boundaries, so halted nodes drop
-    /// out of every shard as they do in [`run`](Self::run); the
-    /// cross-shard meter is kept out of [`RunStats`] so stats equality
-    /// across executors stays exact.
-    ///
-    /// # Panics
-    /// Panics if `partition` does not cover exactly the graph's slots.
-    pub fn run_sharded(self, seed: u64, partition: &ShardPartition) -> ShardedRun<P::Output>
-    where
-        P: Send,
-        P::Output: Send,
-    {
-        assert_eq!(
-            partition.num_slots(),
-            self.graph.num_nodes(),
-            "Engine::run_sharded: partition covers {} slots, graph has {}",
-            partition.num_slots(),
-            self.graph.num_nodes()
-        );
-        let shards = partition.shards();
-        if shards == 1 {
-            // One shard is the sequential engine; nothing crosses.
-            return ShardedRun {
-                outcome: self.run(seed),
-                shards: 1,
-                cross_shard_edges: 0,
-                cross_shard_messages: 0,
-            };
-        }
-        let cross_shard_edges = partition.cross_shard_edges(self.graph);
-        // Never inline (cutoff 0), so every message is metered against
-        // its sender's shard. The whole piece belongs to shard `s`, so
-        // only the receiver's side needs a lookup.
-        let (outcome, cross_shard_messages) = self.run_split(
-            seed,
-            shards,
-            0,
-            |ids, s| ids.partition_point(|&v| (v as usize) < partition.range(s).start),
-            |s, to| partition.shard_of(to) != s,
-        );
-        ShardedRun {
-            outcome,
-            shards,
-            cross_shard_edges,
-            cross_shard_messages,
-        }
-    }
-
-    /// The multi-worker executor behind `run_parallel_with` and
-    /// `run_sharded`: each phase cuts the active-id list into `pieces`
-    /// runs, piece `k` starting at position `cut(ids, k)`, and runs every
-    /// non-empty one on its own scoped thread — or, below `inline_below`
-    /// active ids, the whole phase on this thread, unmetered. Also returns
-    /// how many messages `crosses(k, receiver)` flagged for a sender in
-    /// piece `k`.
-    fn run_split(
-        self,
-        seed: u64,
-        pieces: usize,
-        inline_below: usize,
-        cut: impl Fn(&[u32], usize) -> usize,
-        crosses: impl Fn(usize, NodeId) -> bool + Sync,
-    ) -> (RunOutcome<P::Output>, u64)
-    where
-        P: Send,
-        P::Output: Send,
-    {
-        let cuts = |ids: &[u32]| -> Vec<usize> {
-            (0..pieces)
-                .map(|k| cut(ids, k))
-                .chain(std::iter::once(ids.len()))
-                .collect()
-        };
-        let crossed = AtomicU64::new(0);
-        let outcome = self.run_with(
-            seed,
-            |ids, rows, round, layout| {
-                if ids.len() < inline_below {
-                    return Self::step_all(ids, rows, 0, round, layout);
-                }
-                let pieces = Self::pieces(ids, rows, &cuts(ids));
-                std::thread::scope(|scope| {
-                    for p in pieces {
-                        scope.spawn(move || Self::step_all(p.ids, p.rows, p.base, round, layout));
-                    }
-                });
-            },
-            |ids, layout, args| {
-                if ids.len() < inline_below {
-                    // SAFETY: below the cutoff no worker is spawned; this
-                    // thread delivers the whole phase.
-                    return unsafe {
-                        Self::deliver_all(ids, layout, args, BitSet::Plain, |_, _, _| {})
-                    };
-                }
-                let mut done = vec![(Tally::default(), 0u64); pieces];
-                let crosses = &crosses;
-                std::thread::scope(|scope| {
-                    for (k, (out, w)) in done.iter_mut().zip(cuts(ids).windows(2)).enumerate() {
-                        let ids = &ids[w[0]..w[1]];
-                        if ids.is_empty() {
-                            continue;
-                        }
-                        scope.spawn(move || {
-                            let mut cross = 0;
-                            // SAFETY: atomic bit sets, as several workers
-                            // deliver this phase.
-                            let tally = unsafe {
-                                Self::deliver_all(ids, layout, args, BitSet::Atomic, |_, to, _| {
-                                    cross += u64::from(crosses(k, to));
-                                })
-                            };
-                            *out = (tally, cross);
-                        });
-                    }
-                });
-                let (tally, cross) = done
-                    .into_iter()
-                    .fold(Default::default(), |(a, x): (Tally, u64), (b, y)| {
-                        (a.merge(b), x + y)
-                    });
-                crossed.fetch_add(cross, Ordering::Relaxed);
-                tally
-            },
-        );
-        (outcome, crossed.into_inner())
-    }
-
-    /// Cuts the active list at the positions `cuts` (ascending, from 0 to
-    /// `ids.len()`) into one [`Piece`] per non-empty run. A run's ids
-    /// ascend, so its state rows are the one contiguous range from its
-    /// first id to its last, taken with `split_at_mut`.
-    fn pieces<'a>(
-        ids: &'a [u32],
-        rows: &'a mut [NodeState<P>],
-        cuts: &[usize],
-    ) -> Vec<Piece<'a, P>> {
-        let mut pieces = Vec::with_capacity(cuts.len());
-        let (mut rest, mut base) = (rows, 0);
-        for w in cuts.windows(2) {
-            let ids = &ids[w[0]..w[1]];
-            let (Some(&first), Some(&last)) = (ids.first(), ids.last()) else {
-                continue;
-            };
-            let (first, end) = (first as usize, last as usize + 1);
-            let (_, tail) = std::mem::take(&mut rest).split_at_mut(first - base);
-            let (rows, tail) = tail.split_at_mut(end - first);
-            pieces.push(Piece {
-                ids,
-                rows,
-                base: first,
-            });
-            (rest, base) = (tail, end);
-        }
-        pieces
-    }
-
-    /// Shared run loop; `compute` executes one round's compute phase over
-    /// the active ids (round 0 is `init`), `deliver` scatters their
-    /// send-plane rows (untraced runs only — tracing uses the sequential
-    /// path so trace order is reproducible).
-    fn run_with(
-        self,
-        seed: u64,
-        compute: impl Fn(&[u32], &mut [NodeState<P>], usize, &Layout<'g>),
-        deliver: impl Fn(&[u32], &Layout<'g>, &DeliverArgs<'_>) -> Tally,
-    ) -> RunOutcome<P::Output> {
+    /// The round loop, the engine's one executor: round 0 runs `init`,
+    /// then every round runs its sequential section (restarts, crash and
+    /// churn coins, inbox reordering), its compute phase and its delivery
+    /// phase, each phase split at `partition`'s shard boundaries. Also
+    /// returns how many messages crossed a shard boundary.
+    fn run_on(self, seed: u64, partition: &ShardPartition) -> (RunOutcome<P::Output>, u64) {
         let (graph, config) = (self.graph, self.config);
         let n = graph.num_nodes();
         // Send-plane occupancy rows, word-aligned: node `v`'s bits live in
@@ -1263,6 +1144,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
             alive: vec![true; n],
             outputs: vec![None; n],
             stats: RunStats::default(),
+            crossed: 0,
             traces: Vec::new(),
             seed,
             factory: self.factory,
@@ -1273,8 +1155,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let mut restart_queue: VecDeque<(usize, u32)> = VecDeque::new();
 
         // Round 0: init (no inboxes yet, halting is not possible).
-        compute(&run.ids, &mut run.rows, 0, &layout);
-        run.delivery_phase(&config, &layout, edge_down.as_deref(), 0, &deliver);
+        Self::compute(&run.ids, &mut run.rows, 0, &layout, partition);
+        run.delivery_phase(&config, &layout, edge_down.as_deref(), 0, partition);
 
         // Between rounds the active list holds exactly the live nodes.
         while (!run.ids.is_empty() || !restart_queue.is_empty() || (joins_on && departed_count > 0))
@@ -1363,18 +1245,19 @@ impl<'g, P: Protocol> Engine<'g, P> {
             if let Some(adv) = reorder {
                 Self::reorder_inboxes(&run.ids, &run.rows, round, &layout, adv);
             }
-            compute(&run.ids, &mut run.rows, round, &layout);
-            run.delivery_phase(&config, &layout, edge_down.as_deref(), round, &deliver);
+            Self::compute(&run.ids, &mut run.rows, round, &layout, partition);
+            run.delivery_phase(&config, &layout, edge_down.as_deref(), round, partition);
         }
 
-        RunOutcome {
+        let outcome = RunOutcome {
             // Complete ⇔ every node halted with an output (in restart
             // mode a crashed node can rejoin and still halt).
             completed: run.outputs.iter().all(Option::is_some),
             outputs: run.outputs,
             stats: run.stats,
             traces: run.traces,
-        }
+        };
+        (outcome, run.crossed)
     }
 
     /// Compute phase for node `v`: run `init` (round 0) or `round` against
@@ -1392,7 +1275,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let occ_start = layout.occ_start[v as usize] as usize;
         let occ_words = degree.div_ceil(64);
         // SAFETY: the active list holds each node id once, each id goes to
-        // exactly one worker (pieces are disjoint runs of the list), and
+        // exactly one worker (shards own disjoint runs of the list), and
         // CSR rows of distinct nodes are disjoint (send occupancy rows are
         // word-aligned per node), so these are the only live references to
         // the rows; no delivery runs concurrently.
@@ -1611,6 +1494,8 @@ struct RunState<'g, P: Protocol> {
     alive: Vec<bool>,
     outputs: Vec<Option<P::Output>>,
     stats: RunStats,
+    /// Messages that crossed a shard boundary so far.
+    crossed: u64,
     traces: Vec<MessageTrace>,
     seed: u64,
     factory: Box<dyn FnMut(&NodeInfo<'g>) -> P + 'g>,
@@ -1659,18 +1544,19 @@ impl<'g, P: Protocol> RunState<'g, P> {
     }
 
     /// Delivery phase: apply this round's halts, scatter every listed
-    /// node's send-plane row into the receive plane (via `deliver`, or the
-    /// sequential traced path), then drop halted and departed ids from
-    /// the active list with a stable `retain`. Runs after *all* nodes
-    /// computed, so whether a message is dropped depends only on the set
-    /// of halted nodes — never on node processing order.
+    /// node's send-plane row into the receive plane (split at
+    /// `partition`'s shard boundaries, or on this thread when traced),
+    /// then drop halted and departed ids from the active list with a
+    /// stable `retain`. Runs after *all* nodes computed, so whether a
+    /// message is dropped depends only on the set of halted nodes — never
+    /// on node processing order.
     fn delivery_phase(
         &mut self,
         config: &SimConfig,
         layout: &Layout<'g>,
         edge_down: Option<&[u64]>,
         round: usize,
-        deliver: &impl Fn(&[u32], &Layout<'g>, &DeliverArgs<'_>) -> Tally,
+        partition: &ShardPartition,
     ) {
         for &v in &self.ids {
             let (v, state) = (v as usize, &mut self.rows[v as usize]);
@@ -1700,27 +1586,22 @@ impl<'g, P: Protocol> RunState<'g, P> {
             // Tracing pins delivery to ascending node-id order — the
             // list's own order — and stays sequential: the documented
             // small-graph path.
-            let traces = &mut self.traces;
+            let (runs, traces) = (shard_runs(&self.ids, partition), &mut self.traces);
             // SAFETY: this thread delivers the whole phase.
             unsafe {
-                Engine::<P>::deliver_all(
-                    &self.ids,
-                    layout,
-                    &args,
-                    BitSet::Plain,
-                    |from, to, bits| {
-                        traces.push(MessageTrace {
-                            round,
-                            from,
-                            to,
-                            bits,
-                        });
-                    },
-                )
+                Engine::<P>::deliver_all(runs, layout, &args, BitSet::Plain, |from, to, bits| {
+                    traces.push(MessageTrace {
+                        round,
+                        from,
+                        to,
+                        bits,
+                    });
+                })
             }
         } else {
-            deliver(&self.ids, layout, &args)
+            Engine::<P>::deliver(&self.ids, layout, &args, partition)
         };
+        self.crossed += tally.crossed;
         tally.add_to(&mut self.stats);
         // Outside the halting loop above, `alive` is exactly `active`, and
         // it is the denser of the two to scan.
@@ -1970,32 +1851,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_deltas_accepts_a_fully_departed_graph() {
-        use congest_graph::DeltaGraph;
-        let mut rng = SmallRng::seed_from_u64(45);
-        let g = generators::gnp(12, 0.3, &mut rng);
-        let engine = Engine::build(&g, SimConfig::congest_for(&g), |_| Census {
-            heard: Vec::new(),
-        });
-        let mut dg = DeltaGraph::new(g.clone());
-        for v in g.nodes() {
-            dg.remove_node(v);
-        }
-        assert_eq!(dg.num_live_nodes(), 0);
-        let deltas = dg.take_log();
-        let g2 = dg.compact();
-        // Retargeting onto the all-departed compacted graph must be legal
-        // (slot space preserved, every slot isolated), and the follow-up
-        // run completes trivially: isolated nodes halt after one round.
-        let outcome = engine.apply_deltas(&g2, &deltas).run(9);
-        assert!(outcome.completed);
-        assert!(outcome
-            .outputs
-            .iter()
-            .all(|o| o.as_ref().is_some_and(Vec::is_empty)));
-    }
-
-    #[test]
     fn zero_slot_graph_completes_vacuously_on_every_executor() {
         use congest_graph::ShardPartition;
         let g = congest_graph::GraphBuilder::new().build();
@@ -2025,6 +1880,29 @@ mod tests {
         assert!(run.outcome.completed);
         assert_eq!(run.cross_shard_edges, 1);
         assert_eq!(run.cross_shard_messages, 2);
+    }
+
+    /// The meter counts exactly the traced messages between shards, on
+    /// worker threads and inline alike: with 2,100 nodes on 2 shards,
+    /// rounds 0 and 1 have more than 1024 active ids per shard and spawn
+    /// workers (their delivery only when untraced), later rounds do not.
+    #[test]
+    fn cross_meter_counts_traced_crossings_threaded_and_inline() {
+        use congest_graph::ShardPartition;
+        let mut rng = SmallRng::seed_from_u64(12);
+        let g = generators::gnp(2100, 0.002, &mut rng);
+        let p = ShardPartition::contiguous(g.num_nodes(), 2);
+        let traced = SimConfig::congest_for(&g).with_traces();
+        let seq = Engine::build(&g, traced.clone(), |_| gossip()).run(4);
+        let first = |v: NodeId| p.range(0).contains(&v.index());
+        let crossings = seq.traces.iter().filter(|t| first(t.from) != first(t.to));
+        let expected = crossings.count() as u64;
+        assert!(expected > 0 && seq.stats.rounds > 2);
+        for config in [traced, SimConfig::congest_for(&g)] {
+            let run = Engine::build(&g, config, |_| gossip()).run_sharded(4, &p);
+            assert_eq!(run.outcome.stats, seq.stats);
+            assert_eq!(run.cross_shard_messages, expected);
+        }
     }
 
     /// Broadcasts the sender id, then asserts every message arrived on the
@@ -2472,6 +2350,12 @@ mod tests {
             let par = Engine::build(&g, SimConfig::local(), |_| gossip()).run_parallel(5);
             assert_eq!(seq.outputs, par.outputs);
             assert_eq!(seq.stats, par.stats);
+            // The thread count is clamped to the slot count before the
+            // partition is built, so an absurd one is one shard per node.
+            let most = Engine::build(&g, SimConfig::local(), |_| gossip())
+                .run_parallel_with(5, usize::MAX);
+            assert_eq!(seq.outputs, most.outputs);
+            assert_eq!(seq.stats, most.stats);
         }
     }
 
@@ -2779,72 +2663,6 @@ mod tests {
         assert!(outcome.stats.nodes_left > 0);
         assert_eq!(outcome.stats.nodes_joined, 0);
         assert_eq!(outcome.stats.crashed_nodes, 0, "leaves are not crashes");
-    }
-
-    #[test]
-    fn apply_deltas_retargets_onto_the_compacted_graph() {
-        use congest_graph::DeltaGraph;
-        // Grow a path 0–1–2 by the chord {0, 2} through the overlay, then
-        // retarget a pre-built engine onto the compacted graph: the run
-        // must be bit-identical to an engine built on that graph directly.
-        let g1 = generators::path(3);
-        let mut dg = DeltaGraph::new(generators::path(3));
-        dg.insert_edge(NodeId(0), NodeId(2), 1);
-        let deltas = dg.take_log();
-        let g2 = dg.compact();
-        let retargeted = Engine::build(&g1, SimConfig::local(), |_| Census { heard: Vec::new() })
-            .apply_deltas(&g2, &deltas)
-            .run(7);
-        let fresh = Engine::build(&g2, SimConfig::local(), |_| Census { heard: Vec::new() }).run(7);
-        assert!(retargeted.completed);
-        assert_eq!(retargeted.outputs, fresh.outputs);
-        assert_eq!(retargeted.stats, fresh.stats);
-        assert_eq!(
-            retargeted.outputs[1].as_ref().unwrap(),
-            &vec![NodeId(0), NodeId(2)]
-        );
-        assert_eq!(
-            retargeted.outputs[0].as_ref().unwrap(),
-            &vec![NodeId(1), NodeId(2)],
-            "node 0 must see the inserted chord"
-        );
-    }
-
-    #[test]
-    fn apply_deltas_grows_the_slot_space_for_added_nodes() {
-        use congest_graph::DeltaGraph;
-        let g1 = generators::path(2);
-        let mut dg = DeltaGraph::new(generators::path(2));
-        let v = dg.add_node(1);
-        dg.insert_edge(NodeId(1), v, 1);
-        let deltas = dg.take_log();
-        let g2 = dg.compact();
-        let outcome = Engine::build(&g1, SimConfig::local(), |_| Census { heard: Vec::new() })
-            .apply_deltas(&g2, &deltas)
-            .run(3);
-        assert!(outcome.completed);
-        assert_eq!(outcome.outputs.len(), 3);
-        assert_eq!(outcome.outputs[2].as_ref().unwrap(), &vec![NodeId(1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "Engine::apply_deltas: graph must keep the slot-id space")]
-    fn apply_deltas_rejects_a_shrunken_graph() {
-        let g1 = generators::path(3);
-        let g2 = generators::path(2);
-        let _ = Engine::build(&g1, SimConfig::local(), |_| Forever)
-            .apply_deltas(&g2, &DeltaSet::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "Engine::apply_deltas: delta node")]
-    fn apply_deltas_rejects_out_of_range_delta_nodes() {
-        let g = generators::path(2);
-        let deltas = DeltaSet {
-            joined: vec![NodeId(9)],
-            ..DeltaSet::default()
-        };
-        let _ = Engine::build(&g, SimConfig::local(), |_| Forever).apply_deltas(&g, &deltas);
     }
 
     /// The memory guard the 10M-node bench rows rely on: per directed

@@ -85,14 +85,17 @@ impl<O> Status<O> {
 /// engine calls [`init`](Protocol::init) once before any communication,
 /// then [`round`](Protocol::round) every synchronous round with the
 /// messages sent by neighbors in the previous round.
-pub trait Protocol {
+///
+/// Instances and outputs are `Send`: every executor may step a node, and
+/// take its output, on a worker thread.
+pub trait Protocol: Send {
     /// Message type exchanged by this protocol. The [`PackedMsg`] bound is
     /// the CONGEST discipline made structural: every message must state a
     /// ≤ 64-bit wire format, because the engine's planes store exactly one
     /// packed word per directed edge.
     type Msg: PackedMsg;
     /// Per-node output on halting.
-    type Output: Clone + Debug;
+    type Output: Clone + Debug + Send;
 
     /// Round 0: inspect [`Context`], initialize state, optionally send.
     fn init(&mut self, ctx: &mut Context<'_, Self::Msg>);

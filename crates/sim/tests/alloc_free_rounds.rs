@@ -7,16 +7,18 @@
 //!
 //! The test protocol is itself allocation-free (plain `u64` broadcasts,
 //! no per-round state growth), so every counted allocation is the
-//! engine's. Only the sequential executor is pinned here: on multi-core
-//! hosts the parallel executors spawn scoped worker threads per phase and
-//! allocate O(threads) per round for their handles and pieces (a
-//! persistent pool would not).
+//! engine's. Every executor is pinned: all of them are one round loop
+//! over a shard partition, and on the test graph every round has fewer
+//! active ids per shard than the threading cutoff, so `run_parallel`,
+//! `run_parallel_with` and `run_sharded` run each phase on the calling
+//! thread on any host. Rounds that do spawn scoped workers allocate
+//! O(shards) for their handles (a persistent pool would not).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use congest_graph::generators;
-use congest_sim::{Context, Engine, Inbox, Protocol, SimConfig, Status};
+use congest_graph::{generators, ShardPartition};
+use congest_sim::{Context, Engine, Inbox, Protocol, RunOutcome, SimConfig, Status};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -69,12 +71,15 @@ impl Protocol for Chatter {
     }
 }
 
+/// An executor under test: runs a built engine to its round cap.
+type Executor<'a> = &'a dyn Fn(Engine<'_, Chatter>) -> RunOutcome<()>;
+
 /// Allocation count of one full build + run at the given round cap.
-fn allocations_once(g: &congest_graph::Graph, rounds: usize) -> u64 {
+fn allocations_once(g: &congest_graph::Graph, rounds: usize, run: Executor<'_>) -> u64 {
     let config = SimConfig::local().with_max_rounds(rounds);
     let engine = Engine::build(g, config, |_| Chatter);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let outcome = engine.run(42);
+    let outcome = run(engine);
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(outcome.stats.rounds, rounds);
     assert!(!outcome.completed);
@@ -87,11 +92,14 @@ fn allocations_once(g: &congest_graph::Graph, rounds: usize) -> u64 {
 /// measurement window; that noise can only inflate a sample, never
 /// deflate it, so the minimum over independent attempts converges to the
 /// engine's true count.
-fn allocations_for(g: &congest_graph::Graph, rounds: usize) -> u64 {
-    (0..5).map(|_| allocations_once(g, rounds)).min().unwrap()
+fn allocations_for(g: &congest_graph::Graph, rounds: usize, run: Executor<'_>) -> u64 {
+    (0..5)
+        .map(|_| allocations_once(g, rounds, run))
+        .min()
+        .unwrap()
 }
 
-// Both checks live in ONE #[test]: the counter is process-wide, and a
+// All checks live in ONE #[test]: the counter is process-wide, and a
 // second test running on a concurrent harness thread (or its output
 // capture) could allocate inside a measurement window and flake the
 // delta comparison. A single test means a single thread touching the
@@ -101,8 +109,8 @@ fn steady_state_rounds_allocate_nothing() {
     let mut rng = SmallRng::seed_from_u64(99);
     let g = generators::gnp(300, 0.03, &mut rng);
     assert!(g.num_edges() > 500, "graph must be message-heavy");
-    let short = allocations_for(&g, 8);
-    let long = allocations_for(&g, 64);
+    let short = allocations_for(&g, 8, &|e| e.run(42));
+    let long = allocations_for(&g, 64, &|e| e.run(42));
     // The prologue (slots, planes, outputs, liveness) allocates; the 56
     // extra rounds must not add a single allocation.
     assert!(short > 0, "prologue allocations should be visible");
@@ -111,25 +119,27 @@ fn steady_state_rounds_allocate_nothing() {
         "round loop allocated: {short} allocations over 8 rounds vs {long} over 64"
     );
 
-    // On a single-threaded host `run_parallel` takes the inline fallback
-    // and must share the zero-allocation property; on multi-core hosts
-    // the scoped worker threads allocate per round for their handles, so
-    // the check only applies where the fallback is active.
-    if rayon::current_num_threads() == 1 {
-        let run_par_once = |rounds: usize| {
-            let config = SimConfig::local().with_max_rounds(rounds);
-            let engine = Engine::build(&g, config, |_| Chatter);
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
-            let _ = engine.run_parallel(42);
-            ALLOCATIONS.load(Ordering::SeqCst) - before
-        };
-        // Minimum over attempts, for the same ambient-noise reason as
-        // `allocations_for`.
-        let run_par = |rounds: usize| (0..5).map(|_| run_par_once(rounds)).min().unwrap();
+    // 300 active ids are below the cutoff for any shard count, so every
+    // other executor runs its rounds inline too, and must share the
+    // zero-allocation property on any host. A sharded run's crossings
+    // are metered on those inline rounds as well.
+    let halves = ShardPartition::contiguous(g.num_nodes(), 2);
+    let thirds = ShardPartition::contiguous(g.num_nodes(), 3);
+    let executors: [(&str, Executor<'_>); 4] = [
+        ("run_parallel", &|e| e.run_parallel(42)),
+        ("run_parallel_with(2)", &|e| e.run_parallel_with(42, 2)),
+        ("run_sharded on 2 shards", &|e| {
+            e.run_sharded(42, &halves).outcome
+        }),
+        ("run_sharded on 3 shards", &|e| {
+            e.run_sharded(42, &thirds).outcome
+        }),
+    ];
+    for (name, run) in executors {
+        let (short, long) = (allocations_for(&g, 8, run), allocations_for(&g, 64, run));
         assert_eq!(
-            run_par(8),
-            run_par(64),
-            "run_parallel's single-thread fallback allocated per round"
+            short, long,
+            "{name} allocated per round: {short} allocations over 8 rounds vs {long} over 64"
         );
     }
 }
