@@ -139,8 +139,8 @@ impl GraphBuilder {
     }
 
     /// Finalizes the graph, building the flat CSR adjacency (rows sorted by
-    /// neighbor id) plus the derived mirror-slot and per-port edge-weight
-    /// tables, in `O(n + m log Δ)` total (`O(n + m)` except the row sort).
+    /// neighbor id) plus the derived mirror-slot table, in `O(n + m log Δ)`
+    /// total (`O(n + m)` except the row sort).
     pub fn build(self) -> Graph {
         let n = self.node_weights.len();
         let m = self.edges.len();
@@ -194,17 +194,11 @@ impl GraphBuilder {
             mirror[b as usize] = a;
         }
 
-        let port_edge_weights: Vec<u64> = neighbor_edges
-            .iter()
-            .map(|e| self.edge_weights[e.index()])
-            .collect();
-
         Graph {
             row_offsets,
             neighbor_ids,
             neighbor_edges,
             mirror,
-            port_edge_weights,
             edges: self.edges,
             node_weights: self.node_weights,
             edge_weights: self.edge_weights,

@@ -517,9 +517,9 @@ fn term_sum(g: &Graph) -> u64 {
 }
 
 /// Renumbers `g`'s edge ids into lexicographic `(min, max)` order, the
-/// order a row-by-row walk of the upper neighbors visits them in. Rows,
-/// mirror slots and per-port weights do not depend on edge ids, so only
-/// the edge tables and `neighbor_edges` change.
+/// order a row-by-row walk of the upper neighbors visits them in. Rows
+/// and mirror slots do not depend on edge ids, so only the edge tables
+/// and `neighbor_edges` change.
 fn canonicalize(g: &mut Graph) {
     if g.edges.windows(2).all(|w| w[0] < w[1]) {
         return;
@@ -733,7 +733,6 @@ fn splice(
     // before they move.
     slot_plan.remap(&mut g.mirror, |s| s);
     edge_plan.remap(&mut g.neighbor_edges, |e| &mut e.0);
-    slot_plan.apply(&mut g.port_edge_weights, |j| ins[j].1);
     edge_plan.apply(&mut g.edge_weights, |j| upper[j].1);
     slot_plan.apply(&mut g.mirror, |j| {
         let (u, v) = ins[j].0;

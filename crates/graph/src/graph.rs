@@ -66,18 +66,17 @@ impl From<u32> for EdgeId {
 /// is a handful of allocations regardless of `n`. Rows stay sorted by
 /// neighbor id, keeping `O(log Δ)` adjacency queries.
 ///
-/// Two derived CSR-aligned tables are precomputed in `O(n + m)` at
-/// construction and kept in sync by the weight setters:
+/// One derived CSR-aligned table is precomputed in `O(n + m)` at
+/// construction: [`mirror`](Self::mirror), for each directed slot (`v`'s
+/// row holding neighbor `u`), the absolute slot of the reverse edge (`u`'s
+/// row holding `v`), so `mirror[mirror[i]] == i`. Message-passing
+/// simulators use it to deliver into port-indexed inboxes with one
+/// sequential read per message instead of a scan or a lookup at the
+/// receiver.
 ///
-/// * [`mirror`](Self::mirror) — for each directed slot (`v`'s row holding
-///   neighbor `u`), the absolute slot of the reverse edge (`u`'s row
-///   holding `v`), so `mirror[mirror[i]] == i`. Message-passing
-///   simulators use it to deliver into port-indexed inboxes with one
-///   sequential read per message instead of a scan or a lookup at the
-///   receiver.
-/// * [`port_edge_weights`](Self::port_edge_weights) — the weight of the
-///   incident edge at each slot, so per-node weight views need no
-///   indirection through edge ids.
+/// Each weight is stored once: node weights by node id, edge weights by
+/// edge id. The weight behind port `p` of `v` is
+/// `edge_weight(neighbor_edges(v)[p])`.
 ///
 /// Weights default to `1`. Node weights drive the maximum-weight independent
 /// set algorithms; edge weights drive the maximum-weight matching
@@ -96,8 +95,6 @@ pub struct Graph {
     /// `mirror[i]` for slot `i` in `v`'s row holding neighbor `u` = the
     /// absolute slot of `v` inside `u`'s row.
     pub(crate) mirror: Vec<u32>,
-    /// `port_edge_weights[i]` = weight of the edge at CSR slot `i`.
-    pub(crate) port_edge_weights: Vec<u64>,
     /// `edges[e]` = endpoints `(u, v)` with `u < v`.
     pub(crate) edges: Vec<(NodeId, NodeId)>,
     pub(crate) node_weights: Vec<u64>,
@@ -184,14 +181,6 @@ impl Graph {
         &self.mirror
     }
 
-    /// Weight of the incident edge at each port of `v` (aligned with
-    /// [`neighbor_ids`](Self::neighbor_ids)). Kept in sync by
-    /// [`set_edge_weight`](Self::set_edge_weight).
-    #[inline]
-    pub fn port_edge_weights(&self, v: NodeId) -> &[u64] {
-        &self.port_edge_weights[self.row(v)]
-    }
-
     /// CSR row-offset table (`n + 1` entries); row `v` of the flat arrays
     /// is `row_offsets()[v] .. row_offsets()[v + 1]`.
     #[inline]
@@ -270,19 +259,9 @@ impl Graph {
         self.node_weights[v.index()] = w;
     }
 
-    /// Sets the weight of edge `e`, updating the CSR-aligned
-    /// [`port_edge_weights`](Self::port_edge_weights) view of both
-    /// endpoints (`O(log Δ)`).
+    /// Sets the weight of edge `e`.
     pub fn set_edge_weight(&mut self, e: EdgeId, w: u64) {
         self.edge_weights[e.index()] = w;
-        let (u, v) = self.endpoints(e);
-        for (at, other) in [(u, v), (v, u)] {
-            let row = self.row(at);
-            let port = self.neighbor_ids[row.clone()]
-                .binary_search(&other)
-                .expect("edge endpoints appear in each other's rows");
-            self.port_edge_weights[row.start + port] = w;
-        }
     }
 
     /// Maximum node degree `Δ` (0 for the empty graph).
@@ -302,11 +281,6 @@ impl Graph {
     /// Maximum edge weight (0 if there are no edges).
     pub fn max_edge_weight(&self) -> u64 {
         self.edge_weights.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Sum of all node weights.
-    pub fn total_node_weight(&self) -> u64 {
-        self.node_weights.iter().sum()
     }
 
     /// Builds the line graph `L(G)`.
@@ -505,8 +479,8 @@ mod tests {
     }
 
     /// The CSR invariants every constructed graph must satisfy: rows sorted
-    /// by neighbor id, columns aligned (`neighbor_edges[p]` connects `v` to
-    /// `neighbor_ids[p]`), and per-port weights matching the edge table.
+    /// by neighbor id, and columns aligned (`neighbor_edges[p]` connects `v`
+    /// to `neighbor_ids[p]`).
     fn assert_csr_invariants(g: &Graph) {
         assert_eq!(g.row_offsets().len(), g.num_nodes() + 1);
         assert_eq!(*g.row_offsets().last().unwrap() as usize, 2 * g.num_edges());
@@ -518,7 +492,6 @@ mod tests {
                 assert_eq!(ids[p], u);
                 assert_eq!(g.neighbor_edges(v)[p], e);
                 assert_eq!(g.other_endpoint(e, v), u);
-                assert_eq!(g.port_edge_weights(v)[p], g.edge_weight(e));
             }
         }
     }
@@ -529,7 +502,7 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(11);
-        let mut shapes = vec![
+        let shapes = [
             GraphBuilder::new().build(),
             GraphBuilder::with_nodes(5).build(),
             triangle(),
@@ -537,7 +510,6 @@ mod tests {
             generators::grid(4, 6),
             generators::gnp(80, 0.2, &mut rng),
         ];
-        generators::randomize_edge_weights(shapes.last_mut().unwrap(), 64, &mut rng);
         for g in &shapes {
             assert_csr_invariants(g);
         }
@@ -643,31 +615,44 @@ mod tests {
         }
     }
 
+    /// Bytes of `g`'s tables, `len × size_of` each. The pattern names every
+    /// field, so a new table does not compile until it is counted here.
+    fn table_bytes(g: &Graph) -> usize {
+        let Graph {
+            row_offsets,
+            neighbor_ids,
+            neighbor_edges,
+            mirror,
+            edges,
+            node_weights,
+            edge_weights,
+        } = g;
+        std::mem::size_of_val(&row_offsets[..])
+            + std::mem::size_of_val(&neighbor_ids[..])
+            + std::mem::size_of_val(&neighbor_edges[..])
+            + std::mem::size_of_val(&mirror[..])
+            + std::mem::size_of_val(&edges[..])
+            + std::mem::size_of_val(&node_weights[..])
+            + std::mem::size_of_val(&edge_weights[..])
+    }
+
+    /// Per directed slot: neighbor id, edge id and mirror (4 B each), and
+    /// half of its edge's endpoints and weight (8 B). Per node: weight and
+    /// row offset. Each weight is stored once, so a per-slot copy of a
+    /// table shows up here as 28 B per slot.
     #[test]
-    fn set_edge_weight_keeps_port_view_in_sync() {
-        let mut g = triangle();
-        let e = g.find_edge(NodeId(0), NodeId(2)).unwrap();
-        g.set_edge_weight(e, 99);
-        let p0 = g
-            .neighbor_ids(NodeId(0))
-            .iter()
-            .position(|&u| u.0 == 2)
-            .unwrap();
-        let p2 = g
-            .neighbor_ids(NodeId(2))
-            .iter()
-            .position(|&u| u.0 == 0)
-            .unwrap();
-        assert_eq!(g.port_edge_weights(NodeId(0))[p0], 99);
-        assert_eq!(g.port_edge_weights(NodeId(2))[p2], 99);
-        // The untouched edges keep their default weight in the port view.
-        let e01 = g.find_edge(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(g.edge_weight(e01), 1);
-        let p01 = g
-            .neighbor_ids(NodeId(0))
-            .iter()
-            .position(|&u| u.0 == 1)
-            .unwrap();
-        assert_eq!(g.port_edge_weights(NodeId(0))[p01], 1);
+    fn tables_cost_twenty_bytes_per_directed_slot() {
+        use crate::generators;
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let n = 100_000;
+        let mut rng = SmallRng::seed_from_u64(5);
+        for g in [
+            generators::gnp_skip(n, 8.0 / n as f64, &mut rng),
+            generators::star(50),
+        ] {
+            let slots = 2 * g.num_edges();
+            assert_eq!(table_bytes(&g), 20 * slots + 12 * g.num_nodes() + 4);
+        }
     }
 }

@@ -107,11 +107,6 @@ impl IndependentSet {
             && g.nodes()
                 .all(|v| self.contains(v) || g.neighbor_ids(v).iter().any(|&u| self.contains(u)))
     }
-
-    /// Membership bitmap indexed by node id.
-    pub fn as_bitmap(&self) -> &[bool] {
-        &self.member
-    }
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ impl<'a, M: PackedMsg> Context<'a, M> {
     /// Weight of the incident edge at `port`.
     #[inline]
     pub fn edge_weight(&self, port: Port) -> u64 {
-        self.info.edge_weights[port]
+        self.info.edge_weight(port)
     }
 
     /// Writes a pre-packed word through `port`, enforcing the
@@ -140,13 +140,15 @@ impl<'a, M: PackedMsg> Context<'a, M> {
 mod tests {
     use super::*;
     use crate::rng::node_rng;
+    use congest_graph::EdgeId;
 
     fn info() -> NodeInfo<'static> {
         NodeInfo {
             id: NodeId(3),
             weight: 9,
             neighbor_ids: &[NodeId(1), NodeId(7)],
-            edge_weights: &[4, 5],
+            neighbor_edges: &[EdgeId(2), EdgeId(0)],
+            edge_weights: &[5, 0, 4],
             n: 10,
             max_degree: 3,
             max_node_weight: 9,

@@ -33,11 +33,11 @@
 //!   special case (see the [`sched`](AsyncScheduler) docs).
 //!
 //! Nodes address each other through *ports* (indices into their adjacency
-//! list); they know their own id, weight, degree, per-port edge weights and
-//! neighbor ids, plus the standard global parameters `n` and `Δ`. That
-//! static knowledge is handed out as [`NodeInfo`], a zero-copy `Copy`
-//! struct of slices borrowed from the graph's flat CSR adjacency — see
-//! its docs for the borrow contract.
+//! list); they know their own id, weight, degree, neighbor ids and
+//! per-port edge weights ([`NodeInfo::edge_weight`]), plus the standard
+//! global parameters `n` and `Δ`. That static knowledge is handed out as
+//! [`NodeInfo`], a zero-copy `Copy` struct of slices borrowed from the
+//! graph's flat CSR adjacency — see its docs for the borrow contract.
 //!
 //! Messages move through flat *message planes* shaped like the same CSR
 //! block — one packed 64-bit payload word per directed edge (see
@@ -110,8 +110,8 @@ pub mod rng;
 
 pub use context::Context;
 pub use engine::{
-    plane_bytes, plane_bytes_for, run_protocol, Engine, MessageTrace, RunOutcome, RunStats,
-    ShardedRun, SimConfig,
+    plane_bytes_for, run_protocol, Engine, MessageTrace, RunOutcome, RunStats, ShardedRun,
+    SimConfig,
 };
 pub use fault::Adversary;
 pub use inbox::{Inbox, InboxIter};

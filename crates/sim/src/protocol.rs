@@ -1,6 +1,6 @@
-use std::fmt::Debug;
+use std::fmt::{self, Debug};
 
-use congest_graph::NodeId;
+use congest_graph::{EdgeId, NodeId};
 
 use crate::{Context, Inbox, PackedMsg};
 
@@ -18,22 +18,25 @@ pub type Port = usize;
 /// most one communication round: its own id/weight/degree, its neighbors'
 /// ids and the weights of its incident edges (exchanged in one round), and
 /// the global parameters `n`, `Δ` and `W` that the paper's algorithms
-/// assume are common knowledge.
+/// assume are common knowledge. Incident edge weights are read per port
+/// through [`edge_weight`](Self::edge_weight).
 ///
 /// # Zero-copy contract
 ///
-/// The per-port slices are *borrowed views* into the graph's flat CSR
-/// adjacency block (see [`congest_graph::Graph`]) — building a `NodeInfo`
-/// copies two fat pointers, never the adjacency itself, which is what lets
-/// the engine build one on the stack whenever a node needs it instead of
-/// storing one per node, and lets parallel rounds share one read-only
-/// adjacency image. The borrow
-/// lives as long as the graph borrow `'g` the engine was built from: a
-/// protocol may freely hold onto `neighbor_ids` / `edge_weights` (or a
-/// whole copied `NodeInfo`, which is `Copy`) across rounds, but must copy
-/// anything it wants to own beyond the run. The graph is immutable for the
-/// whole run, so the views never dangle or change mid-run.
-#[derive(Copy, Clone, Debug)]
+/// The per-port data are *borrowed views* into the graph's flat CSR
+/// adjacency block (see [`congest_graph::Graph`]): `neighbor_ids` and the
+/// node's edge-id row, plus the graph's one edge-weight table, which stays
+/// private so that a node reads only the weights of its own edges.
+/// Building a `NodeInfo` copies three fat pointers, never the adjacency
+/// itself, which is what lets the engine build one on the stack whenever
+/// a node needs it instead of storing one per node, and lets parallel
+/// rounds share one read-only adjacency image. The borrow lives as long
+/// as the graph borrow `'g` the engine was built from: a protocol may
+/// freely hold onto `neighbor_ids` (or a whole copied `NodeInfo`, which is
+/// `Copy`) across rounds, but must copy anything it wants to own beyond
+/// the run. The graph is immutable for the whole run, so the views never
+/// dangle or change mid-run.
+#[derive(Copy, Clone)]
 pub struct NodeInfo<'g> {
     /// This node's globally unique id.
     pub id: NodeId,
@@ -41,8 +44,10 @@ pub struct NodeInfo<'g> {
     pub weight: u64,
     /// Neighbor id reachable through each port (sorted ascending).
     pub neighbor_ids: &'g [NodeId],
-    /// Weight of the incident edge at each port.
-    pub edge_weights: &'g [u64],
+    /// Edge id behind each port, aligned with `neighbor_ids`.
+    pub(crate) neighbor_edges: &'g [EdgeId],
+    /// The graph's edge weights, indexed by edge id.
+    pub(crate) edge_weights: &'g [u64],
     /// Total number of nodes `n`.
     pub n: usize,
     /// Maximum degree `Δ` of the graph.
@@ -59,6 +64,30 @@ impl NodeInfo<'_> {
     pub fn degree(&self) -> usize {
         self.neighbor_ids.len()
     }
+
+    /// Weight of the incident edge at `port`.
+    #[inline]
+    pub fn edge_weight(&self, port: Port) -> u64 {
+        self.edge_weights[self.neighbor_edges[port].index()]
+    }
+}
+
+/// Shows the incident weights per port, as the node sees them, not the
+/// graph's whole weight table.
+impl Debug for NodeInfo<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let edge_weights: Vec<u64> = (0..self.degree()).map(|p| self.edge_weight(p)).collect();
+        f.debug_struct("NodeInfo")
+            .field("id", &self.id)
+            .field("weight", &self.weight)
+            .field("neighbor_ids", &self.neighbor_ids)
+            .field("edge_weights", &edge_weights)
+            .field("n", &self.n)
+            .field("max_degree", &self.max_degree)
+            .field("max_node_weight", &self.max_node_weight)
+            .field("max_edge_weight", &self.max_edge_weight)
+            .finish()
+    }
 }
 
 /// Outcome of a protocol round at one node.
@@ -69,13 +98,6 @@ pub enum Status<O> {
     /// Stop; `O` is this node's final output. Messages sent in the halting
     /// round are still delivered to neighbors in the next round.
     Halt(O),
-}
-
-impl<O> Status<O> {
-    /// Whether this is [`Status::Halt`].
-    pub fn is_halt(&self) -> bool {
-        matches!(self, Status::Halt(_))
-    }
 }
 
 /// The per-node algorithm run by the [`Engine`](crate::Engine).
