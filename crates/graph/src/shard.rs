@@ -7,16 +7,13 @@
 //! representation: a shard's message-plane rows (`row_offsets[start] ..
 //! row_offsets[end]`) are one contiguous block, so per-shard worker
 //! threads operate on disjoint plane slices without any index
-//! translation, and cross-shard edges are exactly the CSR row entries
-//! whose neighbor id falls outside the owner's range — one range check
-//! each, for the engine's cross-shard message meter as for
-//! [`ShardPartition::cross_shard_edges`].
+//! translation, and a message crosses a shard boundary exactly when its
+//! receiver's id falls outside the sender's range — one range check
+//! each, for the engine's cross-shard message meter.
 //!
 //! The partition is a pure function of `(n, shards)`, so every replica
 //! that agrees on the graph agrees on the shard map — no coordination
 //! state to reconcile and nothing to persist besides the two integers.
-
-use crate::graph::Graph;
 
 /// A partition of the node-slot space `0..n` into contiguous shards.
 ///
@@ -75,44 +72,11 @@ impl ShardPartition {
     pub fn range(&self, s: usize) -> core::ops::Range<usize> {
         self.starts[s] as usize..self.starts[s + 1] as usize
     }
-
-    /// Number of undirected edges of `g` whose endpoints live in
-    /// different shards — the coordinator↔worker communication surface
-    /// a sharded run pays for.
-    ///
-    /// # Panics
-    /// Panics if `g` has more slots than the partition covers.
-    pub fn cross_shard_edges(&self, g: &Graph) -> usize {
-        assert!(
-            g.num_nodes() <= self.num_slots(),
-            "ShardPartition::cross_shard_edges: graph has {} slots, partition covers {}",
-            g.num_nodes(),
-            self.num_slots()
-        );
-        let n = g.num_nodes();
-        let crossings: usize = (0..self.shards())
-            .map(|s| {
-                let shard = self.range(s);
-                let (lo, len) = (shard.start as u32, shard.len() as u32);
-                // The shard's CSR rows are one block; a neighbour below
-                // `lo` wraps past `len`, so one compare finds an outsider.
-                let block = g.row_offsets[shard.start.min(n)] as usize
-                    ..g.row_offsets[shard.end.min(n)] as usize;
-                g.neighbor_ids[block]
-                    .iter()
-                    .filter(|u| u.0.wrapping_sub(lo) >= len)
-                    .count()
-            })
-            .sum();
-        // Each crossing edge is seen from both endpoints' rows.
-        crossings / 2
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
 
     #[test]
     fn balanced_ranges_cover_the_slot_space() {
@@ -130,43 +94,6 @@ mod tests {
                     assert!(r.len() >= n / k && r.len() <= n / k + 1);
                 }
                 assert_eq!(covered, n);
-            }
-        }
-    }
-
-    #[test]
-    fn one_shard_has_no_cross_edges() {
-        let g = generators::complete(9);
-        let p = ShardPartition::contiguous(9, 1);
-        assert_eq!(p.cross_shard_edges(&g), 0);
-    }
-
-    #[test]
-    fn cross_edges_counted_on_a_path() {
-        // path(10) split into 2 shards of 5: exactly the edge 4–5 crosses.
-        let g = generators::path(10);
-        let p = ShardPartition::contiguous(10, 2);
-        assert_eq!(p.cross_shard_edges(&g), 1);
-    }
-
-    #[test]
-    fn cross_edges_match_an_endpoint_scan() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(8);
-        for n in [1usize, 13, 200] {
-            let g = generators::gnp(n, 0.1, &mut rng);
-            for k in [1usize, 2, 3, 7, 250] {
-                let p = ShardPartition::contiguous(n, k);
-                let shard = |v: usize| (0..k).position(|s| p.range(s).contains(&v));
-                let expected = g
-                    .edges()
-                    .filter(|&e| {
-                        let (u, v) = g.endpoints(e);
-                        shard(u.index()) != shard(v.index())
-                    })
-                    .count();
-                assert_eq!(p.cross_shard_edges(&g), expected, "n = {n}, k = {k}");
             }
         }
     }

@@ -5,12 +5,12 @@
 //! the *topology itself*. Each grid cell does two things:
 //!
 //! 1. **Mid-run churn** — runs the protocol with a seeded churn
-//!    adversary (edge flips, node joins, node leaves) and asserts the
-//!    schedule replays bit-identically, the sequential and parallel
-//!    executors agree, and the churn counters are consistent with the
-//!    enabled knobs. Completion and safety under churn are *recorded*:
-//!    a node that departs after a neighbor halted can legitimately
-//!    re-decide against it.
+//!    adversary (edge flips, node joins, node leaves) through the
+//!    harness's one faulted-run evaluator, which asserts the checks every
+//!    fault, degradation and churn cell shares (listed in the
+//!    [crate docs](crate)). Completion and safety under churn are
+//!    *recorded*: a node that departs after a neighbor halted can
+//!    legitimately re-decide against it.
 //! 2. **Repair probe** — applies a seeded batch of [`DeltaGraph`]
 //!    mutations matching the axis (edge flips / node joins / node
 //!    leaves), asserts the overlay-vs-compacted fingerprint contract,
@@ -19,23 +19,20 @@
 //!    solution, asserts it passes the same oracle as a from-scratch run,
 //!    and records repair rounds against recompute rounds.
 //!
-//! The acceptance rows scale the repair probe to gnp-10k with
-//! `k ∈ {16, 64, 256}` edge flips and **assert** the PR's acceptance
+//! The acceptance rows run the same repair probe on gnp-10k with
+//! `k ∈ {16, 64, 256}` edge flips and **assert** its acceptance
 //! criterion: repair is oracle-valid, bit-identical across executors,
 //! and strictly cheaper in rounds than recomputing from scratch.
 
-use congest_approx::matching::{
-    grouped_mwm_repair, mwm_grouped, mwm_grouped_with, mwm_grouped_with_parallel,
-};
-use congest_approx::maxis::{alg2_with, Alg2Config};
+use congest_approx::matching::{grouped_mwm_repair, mwm_grouped};
 use congest_bench::ledger::{json_object, json_str};
-use congest_graph::{generators, DeltaGraph, Graph, NodeId};
-use congest_mis::{luby_repair, verify_mis, GhaffariMis, LubyMis, MisResult};
+use congest_graph::{generators, DeltaGraph, DeltaSet, Graph, NodeId};
+use congest_mis::{luby_repair, verify_mis, LubyMis, MisResult};
 use congest_sim::{run_protocol, Adversary, RunStats, SimConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{build_graph, run_mis_both, topologies, ProtocolKind, Topology, Weighting};
+use crate::{build_graph, fault_cap, run_faulted, topologies, ProtocolKind, Topology};
 
 /// One axis of the churn model. Each axis turns exactly one topology
 /// knob so the ledger isolates which *kind* of dynamism each protocol
@@ -220,11 +217,15 @@ impl ChurnReport {
     }
 }
 
-/// Applies `k` axis-shaped mutations to the overlay: edge flips
+/// Applies `k` axis-shaped mutations to a copy of `g` — edge flips
 /// (remove-if-present-else-insert on seeded pairs), node joins (each new
 /// node wired to two seeded existing nodes), or node departures
-/// (distinct seeded victims).
-fn apply_probe_deltas(dg: &mut DeltaGraph, axis: ChurnAxis, k: usize, n: usize, seed: u64) {
+/// (distinct seeded victims) — and asserts the fingerprint contract: the
+/// overlay reads as its compaction does. Returns the mutated graph and
+/// the delta log.
+fn mutate(g: &Graph, axis: ChurnAxis, k: usize, seed: u64) -> (Graph, DeltaSet) {
+    let n = g.num_nodes();
+    let mut dg = DeltaGraph::new(g.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
     match axis {
         ChurnAxis::Flip => {
@@ -266,88 +267,112 @@ fn apply_probe_deltas(dg: &mut DeltaGraph, axis: ChurnAxis, k: usize, n: usize, 
             }
         }
     }
-}
-
-/// The repair probe of one cell: mutate a clean copy of `g`, check the
-/// fingerprint contract, and for the repairable protocols compare an
-/// incremental repair against a from-scratch recompute on the mutated
-/// graph. Returns `(deltas, repaired, repair_rounds, recompute_rounds,
-/// repair_stats)`.
-fn repair_probe(
-    kind: ProtocolKind,
-    g: &Graph,
-    axis: ChurnAxis,
-    k: usize,
-    seed: u64,
-) -> (usize, usize, usize, usize, RunStats) {
-    let n = g.num_nodes();
-    let mut dg = DeltaGraph::new(g.clone());
-    apply_probe_deltas(&mut dg, axis, k, n, seed);
     let deltas = dg.take_log();
     let overlay_fp = dg.fingerprint();
-    let g2 = dg.compact();
+    let mutated = dg.compact();
     assert_eq!(
         overlay_fp,
-        g2.fingerprint(),
+        mutated.fingerprint(),
         "fingerprint contract: overlay reads must equal compacted reads"
     );
-    let applied = deltas.len();
+    (mutated, deltas)
+}
 
-    match kind {
-        ProtocolKind::LubyMis => {
-            let fresh = run_protocol(g, SimConfig::congest_for(g), |_| LubyMis::new(), 11);
-            assert!(fresh.completed, "clean Luby run must complete");
-            let prior = fresh.into_outputs();
-            let seq = luby_repair(&g2, &prior, &deltas, 13, false);
-            let par = luby_repair(&g2, &prior, &deltas, 13, true);
-            assert_eq!(
-                seq.results, par.results,
-                "repair must be executor-independent"
-            );
-            assert_eq!(seq.stats, par.stats);
-            verify_mis(&g2, &seq.results).expect("repair must satisfy the MIS oracle");
-            let recompute = run_protocol(&g2, SimConfig::congest_for(&g2), |_| LubyMis::new(), 11);
-            assert!(recompute.completed, "recompute must complete");
-            let recompute_rounds = recompute.stats.rounds;
-            verify_mis(&g2, &recompute.into_outputs())
-                .expect("recompute must satisfy the MIS oracle");
-            (
-                applied,
-                seq.repaired,
-                seq.rounds,
-                recompute_rounds,
-                seq.stats,
-            )
+/// The answer a repair starts from: a clean seed-11 run on the
+/// unmutated graph.
+enum Prior {
+    /// Luby's per-node MIS outputs.
+    Mis(Vec<MisResult>),
+    /// The grouped matching's pairs.
+    Matching(Vec<(NodeId, NodeId)>),
+}
+
+/// An incremental repair against a from-scratch recompute on the same
+/// mutated graph.
+#[derive(Default)]
+struct Repair {
+    /// Nodes the repair re-decided.
+    repaired: usize,
+    /// Rounds the repair paid.
+    rounds: usize,
+    /// Rounds the recompute paid.
+    recompute_rounds: usize,
+    /// Engine statistics of the repair run.
+    stats: RunStats,
+}
+
+impl Prior {
+    /// The clean run of `kind` on `g`, or `None` for a protocol without
+    /// an incremental variant.
+    fn of(kind: ProtocolKind, g: &Graph) -> Option<Prior> {
+        match kind {
+            ProtocolKind::LubyMis => {
+                let fresh = run_protocol(g, SimConfig::congest_for(g), |_| LubyMis::new(), 11);
+                assert!(fresh.completed, "clean Luby run must complete");
+                Some(Prior::Mis(fresh.into_outputs()))
+            }
+            ProtocolKind::GroupedMwm => {
+                let fresh = mwm_grouped(g, 11);
+                Some(Prior::Matching(
+                    fresh.matching.edges(g).map(|e| g.endpoints(e)).collect(),
+                ))
+            }
+            _ => None,
         }
-        ProtocolKind::GroupedMwm => {
-            let fresh = mwm_grouped(g, 11);
-            let prior: Vec<(NodeId, NodeId)> =
-                fresh.matching.edges(g).map(|e| g.endpoints(e)).collect();
-            let seq = grouped_mwm_repair(&g2, &prior, &deltas, 13, false);
-            let par = grouped_mwm_repair(&g2, &prior, &deltas, 13, true);
-            assert_eq!(
-                seq.matching.edges(&g2).collect::<Vec<_>>(),
-                par.matching.edges(&g2).collect::<Vec<_>>(),
-                "repair must be executor-independent"
-            );
-            assert_eq!(seq.stats, par.stats);
-            assert!(
-                seq.matching.is_valid(&g2),
-                "repaired matching must stay valid"
-            );
-            let recompute = mwm_grouped(&g2, 11);
-            assert!(recompute.matching.is_valid(&g2));
-            (
-                applied,
-                seq.repaired,
-                seq.rounds,
-                recompute.stats.rounds,
-                seq.stats,
-            )
+    }
+
+    /// Repairs this answer on the mutated graph `g2` on both executors,
+    /// asserts they agree and the repair passes the oracle, and
+    /// recomputes from scratch on `g2`, which must pass it too.
+    fn repair_vs_recompute(&self, g2: &Graph, deltas: &DeltaSet) -> Repair {
+        match self {
+            Prior::Mis(prior) => {
+                let seq = luby_repair(g2, prior, deltas, 13, false);
+                let par = luby_repair(g2, prior, deltas, 13, true);
+                assert_eq!(
+                    (&seq.results, &seq.stats),
+                    (&par.results, &par.stats),
+                    "luby_repair executors diverged"
+                );
+                verify_mis(g2, &seq.results).expect("luby_repair must satisfy the MIS oracle");
+                let recompute =
+                    run_protocol(g2, SimConfig::congest_for(g2), |_| LubyMis::new(), 11);
+                assert!(recompute.completed, "Luby recompute must complete");
+                let recompute_rounds = recompute.stats.rounds;
+                verify_mis(g2, &recompute.into_outputs())
+                    .expect("Luby recompute must satisfy the MIS oracle");
+                Repair {
+                    repaired: seq.repaired,
+                    rounds: seq.rounds,
+                    recompute_rounds,
+                    stats: seq.stats,
+                }
+            }
+            Prior::Matching(prior) => {
+                let seq = grouped_mwm_repair(g2, prior, deltas, 13, false);
+                let par = grouped_mwm_repair(g2, prior, deltas, 13, true);
+                assert_eq!(
+                    (&seq.matching, &seq.stats),
+                    (&par.matching, &par.stats),
+                    "grouped_mwm_repair executors diverged"
+                );
+                assert!(
+                    seq.matching.is_valid(g2),
+                    "repaired matching must stay valid"
+                );
+                let recompute = mwm_grouped(g2, 11);
+                assert!(
+                    recompute.matching.is_valid(g2),
+                    "recomputed matching must be valid"
+                );
+                Repair {
+                    repaired: seq.repaired,
+                    rounds: seq.rounds,
+                    recompute_rounds: recompute.stats.rounds,
+                    stats: seq.stats,
+                }
+            }
         }
-        // No incremental variant: the probe still certifies the
-        // fingerprint contract above.
-        _ => (applied, 0, 0, 0, RunStats::default()),
     }
 }
 
@@ -358,87 +383,26 @@ pub fn churn_cell(
     axis: ChurnAxis,
     level: usize,
 ) -> ChurnReport {
-    let weighting = match kind {
-        ProtocolKind::GroupedMwm | ProtocolKind::MaxIsAlg2 => Weighting::Uniform,
-        _ => Weighting::Unit,
-    };
-    let g = build_graph(topo, weighting);
-    let n = g.num_nodes();
-    let cap = 64 * n + 256;
+    let g = build_graph(topo, kind.fault_weighting());
     let axis_idx = CHURN_AXES.iter().position(|&a| a == axis).unwrap();
-    let churn_seed = 0xC4 + 16 * axis_idx as u64 + level as u64;
-    let adversary = axis.plan(level, churn_seed);
+    let adversary = axis.plan(level, 0xC4 + 16 * axis_idx as u64 + level as u64);
     let config = SimConfig::congest_for(&g)
-        .with_max_rounds(cap)
+        .with_max_rounds(fault_cap(g.num_nodes()))
         .with_adversary(adversary);
-    let seed = 11;
-
-    let (completed, safety_ok, stats) = match kind {
-        ProtocolKind::LubyMis | ProtocolKind::GhaffariMis => {
-            let outcome = if kind == ProtocolKind::LubyMis {
-                run_mis_both("churn", &g, &config, LubyMis::new, seed)
-            } else {
-                run_mis_both("churn", &g, &config, || GhaffariMis::with_k(2.0), seed)
-            };
-            let independent = !g.edges().any(|e| {
-                let (u, v) = g.endpoints(e);
-                outcome.outputs[u.index()] == Some(MisResult::InSet)
-                    && outcome.outputs[v.index()] == Some(MisResult::InSet)
-            });
-            (outcome.completed, independent, outcome.stats)
-        }
-        ProtocolKind::GroupedMwm => {
-            let (a, completed) = mwm_grouped_with(&g, config.clone(), seed);
-            let (b, _) = mwm_grouped_with_parallel(&g, config.clone(), seed);
-            assert_eq!(a.stats, b.stats, "grouped churn cell: executors diverged");
-            assert_eq!(
-                a.matching.edges(&g).collect::<Vec<_>>(),
-                b.matching.edges(&g).collect::<Vec<_>>()
-            );
-            assert!(
-                a.matching.is_valid(&g),
-                "grouped matching lost safety under {} churn on {}",
-                axis.name(),
-                topo.family
-            );
-            (completed, true, a.stats)
-        }
-        ProtocolKind::MaxIsAlg2 => {
-            let (a, completed) = alg2_with(&g, &Alg2Config::default(), config.clone(), seed);
-            let (b, _) = alg2_with(&g, &Alg2Config::default(), config.clone(), seed);
-            assert_eq!(a.stats, b.stats, "alg2 churn cell must replay");
-            let safety = a.independent_set.is_independent(&g);
-            (completed, safety, a.stats)
-        }
-        _ => unreachable!("churn grid only sweeps CHURN_PROTOCOLS"),
-    };
-
-    // Counter/knob consistency: a knob that is off must leave its
-    // counter at zero, and rejoins only ever fire on departed slots.
-    let adv = adversary;
-    if adv.edge_flip_prob == 0.0 {
-        assert_eq!(stats.edges_flipped, 0, "flips without edge_flip_prob");
-    }
-    if adv.node_join_prob == 0.0 {
-        assert_eq!(stats.nodes_joined, 0, "joins without node_join_prob");
-    }
-    if adv.node_leave_prob == 0.0 {
-        assert_eq!(stats.nodes_left, 0, "leaves without node_leave_prob");
-    }
-    assert!(
-        stats.nodes_joined <= stats.nodes_left,
-        "more rejoins than departures"
+    let ctx = format!(
+        "churn {} {}/{} on {}",
+        kind.name(),
+        axis.name(),
+        CHURN_LEVELS[level],
+        topo.family
     );
-    assert!(
-        completed || stats.rounds == cap || stats.nodes_left > 0,
-        "churn run ended without halting, exhausting the cap, or losing nodes"
-    );
+    let f = run_faulted(&ctx, kind, &g, &config);
 
-    let k = axis.probe_deltas(level);
     let probe_seed = 0x5EED + 16 * axis_idx as u64 + level as u64;
-    let (applied, repaired, repair_rounds, recompute_rounds, repair_stats) =
-        repair_probe(kind, &g, axis, k, probe_seed);
-    let _ = repair_stats;
+    let (g2, deltas) = mutate(&g, axis, axis.probe_deltas(level), probe_seed);
+    let repair = Prior::of(kind, &g).map_or_else(Repair::default, |prior| {
+        prior.repair_vs_recompute(&g2, &deltas)
+    });
 
     ChurnReport {
         kind: "grid",
@@ -450,17 +414,17 @@ pub fn churn_cell(
         intensity: CHURN_LEVELS[level].to_string(),
         dose: axis.dose(level),
         adversary: Some(adversary),
-        completed,
-        safety_ok,
-        rounds: stats.rounds,
-        round_cap: cap,
-        deltas: applied,
-        repaired,
-        repair_rounds,
-        recompute_rounds,
-        repair_cheaper: repair_rounds < recompute_rounds,
+        completed: f.completed,
+        safety_ok: f.safety_ok,
+        rounds: f.stats.rounds,
+        round_cap: config.max_rounds,
+        deltas: deltas.len(),
+        repaired: repair.repaired,
+        repair_rounds: repair.rounds,
+        recompute_rounds: repair.recompute_rounds,
+        repair_cheaper: repair.rounds < repair.recompute_rounds,
         fingerprint_ok: true,
-        stats,
+        stats: f.stats,
     }
 }
 
@@ -484,7 +448,7 @@ pub fn churn_suite() -> Vec<ChurnReport> {
     reports
 }
 
-/// Nodes of the acceptance graph (the ISSUE's gnp-10k target).
+/// Nodes of the acceptance rows' gnp graph.
 pub const ACCEPTANCE_N: usize = 10_000;
 /// Edge-flip batch sizes of the acceptance rows.
 pub const ACCEPTANCE_KS: [usize; 3] = [16, 64, 256];
@@ -499,114 +463,53 @@ fn acceptance_graph(weighted: bool) -> Graph {
     g
 }
 
-fn acceptance_report(
-    protocol: &'static str,
-    k: usize,
-    repaired: usize,
-    repair_rounds: usize,
-    recompute_rounds: usize,
-    stats: RunStats,
-) -> ChurnReport {
-    assert!(
-        repair_rounds < recompute_rounds,
-        "{protocol} acceptance (k={k}): repair took {repair_rounds} rounds, \
-         recompute {recompute_rounds} — repair must be strictly cheaper"
-    );
-    ChurnReport {
-        kind: "acceptance",
-        protocol,
-        family: "gnp".to_string(),
-        param: format!("n={ACCEPTANCE_N} p=8/n"),
-        graph_seed: 77,
-        axis: "repair",
-        intensity: format!("k={k}"),
-        dose: k as f64,
-        adversary: None,
-        completed: true,
-        safety_ok: true,
-        rounds: repair_rounds,
-        round_cap: 64 * ACCEPTANCE_N + 256,
-        deltas: k,
-        repaired,
-        repair_rounds,
-        recompute_rounds,
-        repair_cheaper: true,
-        fingerprint_ok: true,
-        stats,
-    }
-}
-
 /// The acceptance rows: `{luby_repair, grouped_mwm_repair} × k ∈ {16,
 /// 64, 256}` seeded edge flips on gnp-10k. Every row **asserts** the
 /// acceptance criterion — oracle-valid, executor-independent, and
 /// strictly fewer rounds than a from-scratch recompute.
 pub fn churn_acceptance() -> Vec<ChurnReport> {
     let mut out = Vec::new();
-
-    let g = acceptance_graph(false);
-    let fresh = run_protocol(&g, SimConfig::congest_for(&g), |_| LubyMis::new(), 11);
-    assert!(fresh.completed, "clean Luby run must complete");
-    let prior = fresh.into_outputs();
-    for &k in &ACCEPTANCE_KS {
-        let mut dg = DeltaGraph::new(g.clone());
-        apply_probe_deltas(&mut dg, ChurnAxis::Flip, k, ACCEPTANCE_N, 0xF00D + k as u64);
-        let deltas = dg.take_log();
-        let overlay_fp = dg.fingerprint();
-        let g2 = dg.compact();
-        assert_eq!(overlay_fp, g2.fingerprint(), "fingerprint contract");
-        let seq = luby_repair(&g2, &prior, &deltas, 13, false);
-        let par = luby_repair(&g2, &prior, &deltas, 13, true);
-        assert_eq!(seq.results, par.results, "luby_repair executors diverged");
-        assert_eq!(seq.stats, par.stats);
-        verify_mis(&g2, &seq.results).expect("luby_repair must satisfy the MIS oracle");
-        let recompute = run_protocol(&g2, SimConfig::congest_for(&g2), |_| LubyMis::new(), 11);
-        assert!(recompute.completed);
-        let recompute_rounds = recompute.stats.rounds;
-        verify_mis(&g2, &recompute.into_outputs()).expect("recompute must satisfy the oracle");
-        out.push(acceptance_report(
-            "luby_mis",
-            k,
-            seq.repaired,
-            seq.rounds,
-            recompute_rounds,
-            seq.stats,
-        ));
+    for (kind, salt) in [
+        (ProtocolKind::LubyMis, 0xF00D),
+        (ProtocolKind::GroupedMwm, 0xBEEF),
+    ] {
+        let g = acceptance_graph(kind.weighted());
+        let prior = Prior::of(kind, &g).expect("both acceptance protocols repair");
+        for &k in &ACCEPTANCE_KS {
+            let (g2, deltas) = mutate(&g, ChurnAxis::Flip, k, salt + k as u64);
+            let repair = prior.repair_vs_recompute(&g2, &deltas);
+            let protocol = kind.name();
+            assert!(
+                repair.rounds < repair.recompute_rounds,
+                "{protocol} acceptance (k={k}): repair took {} rounds, recompute {} — \
+                 repair must be strictly cheaper",
+                repair.rounds,
+                repair.recompute_rounds
+            );
+            out.push(ChurnReport {
+                kind: "acceptance",
+                protocol,
+                family: "gnp".to_string(),
+                param: format!("n={ACCEPTANCE_N} p=8/n"),
+                graph_seed: 77,
+                axis: "repair",
+                intensity: format!("k={k}"),
+                dose: k as f64,
+                adversary: None,
+                completed: true,
+                safety_ok: true,
+                rounds: repair.rounds,
+                round_cap: fault_cap(ACCEPTANCE_N),
+                deltas: k,
+                repaired: repair.repaired,
+                repair_rounds: repair.rounds,
+                recompute_rounds: repair.recompute_rounds,
+                repair_cheaper: true,
+                fingerprint_ok: true,
+                stats: repair.stats,
+            });
+        }
     }
-
-    let g = acceptance_graph(true);
-    let fresh = mwm_grouped(&g, 11);
-    let prior: Vec<(NodeId, NodeId)> = fresh.matching.edges(&g).map(|e| g.endpoints(e)).collect();
-    for &k in &ACCEPTANCE_KS {
-        let mut dg = DeltaGraph::new(g.clone());
-        apply_probe_deltas(&mut dg, ChurnAxis::Flip, k, ACCEPTANCE_N, 0xBEEF + k as u64);
-        let deltas = dg.take_log();
-        let overlay_fp = dg.fingerprint();
-        let g2 = dg.compact();
-        assert_eq!(overlay_fp, g2.fingerprint(), "fingerprint contract");
-        let seq = grouped_mwm_repair(&g2, &prior, &deltas, 13, false);
-        let par = grouped_mwm_repair(&g2, &prior, &deltas, 13, true);
-        assert_eq!(
-            seq.matching.edges(&g2).collect::<Vec<_>>(),
-            par.matching.edges(&g2).collect::<Vec<_>>(),
-            "grouped_mwm_repair executors diverged"
-        );
-        assert_eq!(seq.stats, par.stats);
-        assert!(
-            seq.matching.is_valid(&g2),
-            "repaired matching must be valid"
-        );
-        let recompute = mwm_grouped(&g2, 11);
-        assert!(recompute.matching.is_valid(&g2));
-        out.push(acceptance_report(
-            "grouped_mwm",
-            k,
-            seq.repaired,
-            seq.rounds,
-            recompute.stats.rounds,
-            seq.stats,
-        ));
-    }
-
     out
 }
 
@@ -661,21 +564,14 @@ mod tests {
         // exercise the exact assertion path without the 10k-node cost.
         let mut rng = SmallRng::seed_from_u64(77);
         let g = generators::gnp(600, 8.0 / 600.0, &mut rng);
-        let fresh = run_protocol(&g, SimConfig::congest_for(&g), |_| LubyMis::new(), 11);
-        assert!(fresh.completed);
-        let fresh_rounds = fresh.stats.rounds;
-        let prior = fresh.into_outputs();
-        let mut dg = DeltaGraph::new(g.clone());
-        apply_probe_deltas(&mut dg, ChurnAxis::Flip, 16, 600, 0xF00D);
-        let deltas = dg.take_log();
-        assert_eq!(dg.fingerprint(), dg.compact().fingerprint());
-        let g2 = dg.compact();
-        let run = luby_repair(&g2, &prior, &deltas, 13, false);
-        verify_mis(&g2, &run.results).expect("repair must satisfy the MIS oracle");
+        let prior = Prior::of(ProtocolKind::LubyMis, &g).unwrap();
+        let (g2, deltas) = mutate(&g, ChurnAxis::Flip, 16, 0xF00D);
+        let repair = prior.repair_vs_recompute(&g2, &deltas);
         assert!(
-            run.rounds <= fresh_rounds,
-            "repair ({}) must not exceed a fresh run ({fresh_rounds})",
-            run.rounds
+            repair.rounds <= repair.recompute_rounds,
+            "repair ({}) must not exceed a recompute ({})",
+            repair.rounds,
+            repair.recompute_rounds
         );
     }
 }

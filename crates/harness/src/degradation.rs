@@ -10,33 +10,23 @@
 //! guarantee survives which fault at which dose** into the append-only
 //! `DEGRADATION_engine.json` ledger.
 //!
-//! Per cell, the harness *asserts* what must hold by construction:
-//!
-//! * the fault schedule replays bit-identically (same seed → same
-//!   stats), and for the engine-driven protocols the sequential and
-//!   parallel executors agree;
-//! * fault counters are consistent with the enabled knobs (no phantom
-//!   duplicates without `dup_prob`, no delays without a scheduler, …);
-//! * every run ends in one of the three legal states: all nodes halted,
-//!   the round cap fired, or crashes silenced part of the graph;
-//! * the grouped matching stays a **valid matching** under every
-//!   schedule (its mutual-confirmation assembly is fault-proof by
-//!   design).
-//!
-//! and *records* what is allowed to degrade: completion, decided
-//! fraction, MIS/MaxIS safety (independence), and the approximation
-//! ratio against the exact oracle — `bound_ok` in the ledger is data,
-//! not an assertion, because a 50% drop rate legitimately breaks a
-//! Δ-approximation.
+//! Each cell runs through the harness's one faulted-run evaluator, so it
+//! *asserts* the checks every fault, degradation and churn cell shares
+//! (listed in the [crate docs](crate)): executor agreement or replay,
+//! grouped-matching validity, fault counters that follow their knobs, and
+//! a legal end state. It *records* what is allowed to degrade:
+//! completion, decided fraction, MIS/MaxIS safety (independence), and the
+//! approximation ratio against the exact oracle ([`opt_value`]) —
+//! `bound_ok` in the ledger is data, not an assertion, because a 50% drop
+//! rate legitimately breaks a Δ-approximation.
 
-use congest_approx::matching::mwm_grouped_with;
-use congest_approx::maxis::{alg2_with, Alg2Config};
 use congest_bench::ledger::{json_object, json_str};
-use congest_exact::{brute_force_mwis, greedy_matching, max_weight_matching_oracle};
-use congest_mis::{GhaffariMis, LubyMis, MisResult};
 use congest_sim::{Adversary, AsyncScheduler, RunStats, SimConfig};
 
-use crate::{build_graph, run_mis_both, topologies, ProtocolKind, Topology, Weighting};
+use crate::{
+    adversary_json, build_graph, fault_cap, opt_value, run_faulted, topologies, ProtocolKind,
+    Topology,
+};
 
 /// One axis of the fault model. Each axis turns exactly one knob so the
 /// ledger isolates which *kind* of misbehavior each protocol tolerates.
@@ -125,8 +115,10 @@ impl FaultAxis {
 
 /// The protocols swept by the degradation grid: the two MIS protocols,
 /// the grouped matching, and randomized MaxIS — the four protocols with
-/// a fault-tolerant assembly path ([`mwm_grouped_with`], [`alg2_with`])
-/// or per-node decide-or-stay-silent outputs (MIS).
+/// a fault-tolerant entry point
+/// ([`mwm_grouped_with`](congest_approx::matching::mwm_grouped_with),
+/// [`alg2_with`](congest_approx::maxis::alg2_with)) or per-node
+/// decide-or-stay-silent outputs (MIS).
 pub const DEGRADATION_PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::LubyMis,
     ProtocolKind::GhaffariMis,
@@ -184,22 +176,10 @@ impl DegradationReport {
             ("param", json_str(self.topology.param)),
             ("seed", self.topology.graph_seed.to_string()),
         ]);
-        let adversary = match &self.adversary {
-            None => "null".to_string(),
-            Some(a) => json_object(&[
-                ("drop_prob", format!("{}", a.drop_prob)),
-                ("dup_prob", format!("{}", a.dup_prob)),
-                ("reorder_prob", format!("{}", a.reorder_prob)),
-                ("corrupt_prob", format!("{}", a.corrupt_prob)),
-                ("crash_prob", format!("{}", a.crash_prob)),
-                (
-                    "restart_after",
-                    a.restart_after
-                        .map_or("null".to_string(), |k| k.to_string()),
-                ),
-                ("seed", a.seed.to_string()),
-            ]),
-        };
+        let adversary = self
+            .adversary
+            .as_ref()
+            .map_or("null".to_string(), adversary_json);
         let scheduler = match &self.scheduler {
             None => "null".to_string(),
             Some(s) => json_object(&[
@@ -248,138 +228,23 @@ pub fn degradation_cell(
     axis: FaultAxis,
     level: usize,
 ) -> DegradationReport {
-    let weighting = match kind {
-        ProtocolKind::GroupedMwm | ProtocolKind::MaxIsAlg2 => Weighting::Uniform,
-        _ => Weighting::Unit,
-    };
-    let g = build_graph(topo, weighting);
-    let n = g.num_nodes();
-    let cap = 64 * n + 256;
+    let g = build_graph(topo, kind.fault_weighting());
     let axis_idx = AXES.iter().position(|&a| a == axis).unwrap();
-    let fault_seed = 0xD16 + 16 * axis_idx as u64 + level as u64;
-    let (adversary, scheduler) = axis.plan(level, fault_seed);
-    let mut config = SimConfig::congest_for(&g).with_max_rounds(cap);
-    if let Some(adv) = adversary {
-        config = config.with_adversary(adv);
-    }
-    if let Some(sched) = scheduler {
-        config = config.with_scheduler(sched);
-    }
-    let seed = 11;
-    let delta = g.max_degree().max(1) as u64;
-
-    let (completed, decided, safety_ok, alg, opt, bound, stats) = match kind {
-        ProtocolKind::LubyMis | ProtocolKind::GhaffariMis => {
-            let outcome = if kind == ProtocolKind::LubyMis {
-                run_mis_both("degradation", &g, &config, LubyMis::new, seed)
-            } else {
-                run_mis_both(
-                    "degradation",
-                    &g,
-                    &config,
-                    || GhaffariMis::with_k(2.0),
-                    seed,
-                )
-            };
-            let decided = outcome.outputs.iter().filter(|o| o.is_some()).count();
-            let independent = !g.edges().any(|e| {
-                let (u, v) = g.endpoints(e);
-                outcome.outputs[u.index()] == Some(MisResult::InSet)
-                    && outcome.outputs[v.index()] == Some(MisResult::InSet)
-            });
-            let alg = outcome
-                .outputs
-                .iter()
-                .filter(|&&o| o == Some(MisResult::InSet))
-                .count() as u64;
-            let opt = brute_force_mwis(&g).weight(&g);
-            (
-                outcome.completed,
-                decided,
-                independent,
-                alg,
-                opt,
-                (1, delta + 1),
-                outcome.stats,
-            )
-        }
-        ProtocolKind::GroupedMwm => {
-            let (a, completed) = mwm_grouped_with(&g, config.clone(), seed);
-            let (b, _) = mwm_grouped_with(&g, config.clone(), seed);
-            assert_eq!(a.stats, b.stats, "grouped degradation cell must replay");
-            // Fault-proof by construction (mutual-confirmation assembly):
-            // asserted, not recorded.
-            assert!(
-                a.matching.is_valid(&g),
-                "grouped matching lost safety under {} on {}",
-                axis.name(),
-                topo.family
-            );
-            let opt = max_weight_matching_oracle(&g)
-                .map_or_else(|| greedy_matching(&g).weight(&g), |m| m.weight(&g));
-            (
-                completed,
-                2 * a.matching.len(),
-                true,
-                a.matching.weight(&g),
-                opt,
-                (1, 2),
-                a.stats,
-            )
-        }
-        ProtocolKind::MaxIsAlg2 => {
-            let (a, completed) = alg2_with(&g, &Alg2Config::default(), config.clone(), seed);
-            let (b, _) = alg2_with(&g, &Alg2Config::default(), config.clone(), seed);
-            assert_eq!(a.stats, b.stats, "alg2 degradation cell must replay");
-            let safety = a.independent_set.is_independent(&g);
-            let opt = brute_force_mwis(&g).weight(&g);
-            (
-                completed,
-                a.independent_set.len(),
-                safety,
-                a.independent_set.weight(&g),
-                opt,
-                (1, delta),
-                a.stats,
-            )
-        }
-        _ => unreachable!("degradation grid only sweeps DEGRADATION_PROTOCOLS"),
+    let (adversary, scheduler) = axis.plan(level, 0xD16 + 16 * axis_idx as u64 + level as u64);
+    let config = SimConfig {
+        adversary,
+        scheduler,
+        ..SimConfig::congest_for(&g).with_max_rounds(fault_cap(g.num_nodes()))
     };
-
-    // Counter/knob consistency: a knob that is off must leave its
-    // counter at zero.
-    let adv = adversary.unwrap_or_default();
-    if adv.drop_prob == 0.0 {
-        assert_eq!(stats.adversary_dropped_messages, 0, "drops without a knob");
-    }
-    if adv.dup_prob == 0.0 {
-        assert_eq!(stats.duplicated_messages, 0, "duplicates without dup_prob");
-    }
-    if adv.corrupt_prob == 0.0 {
-        assert_eq!(stats.corrupted_messages, 0, "corruption without a knob");
-    }
-    if adv.crash_prob == 0.0 {
-        assert_eq!(stats.crashed_nodes, 0, "crashes without crash_prob");
-        assert_eq!(stats.restarted_nodes, 0, "restarts without crashes");
-    }
-    if scheduler.is_none() {
-        assert_eq!(stats.delayed_messages, 0, "delays without a scheduler");
-    }
-    assert!(
-        stats.restarted_nodes <= stats.crashed_nodes,
-        "more restarts than crashes"
+    let ctx = format!(
+        "degradation {} {}/{} on {}",
+        kind.name(),
+        axis.name(),
+        LEVELS[level],
+        topo.family
     );
-    // End-state trichotomy: halted, capped, or crashed out.
-    assert!(
-        completed || stats.rounds == cap || stats.crashed_nodes > 0,
-        "degradation run ended without halting, exhausting the cap, or crashing out"
-    );
-
-    let ratio = if opt == 0 {
-        1.0
-    } else {
-        alg as f64 / opt as f64
-    };
+    let f = run_faulted(&ctx, kind, &g, &config);
+    let opt = opt_value(kind, &g);
     DegradationReport {
         protocol: kind.name(),
         topology: *topo,
@@ -388,15 +253,19 @@ pub fn degradation_cell(
         dose: axis.dose(level),
         adversary,
         scheduler,
-        completed,
-        decided_fraction: decided as f64 / n as f64,
-        safety_ok,
-        ratio,
-        ratio_bound: bound.0 as f64 / bound.1 as f64,
-        bound_ok: alg * bound.1 >= opt * bound.0,
-        rounds: stats.rounds,
-        round_cap: cap,
-        stats,
+        completed: f.completed,
+        decided_fraction: f.decided as f64 / g.num_nodes() as f64,
+        safety_ok: f.safety_ok,
+        ratio: if opt.value == 0 {
+            1.0
+        } else {
+            f.alg as f64 / opt.value as f64
+        },
+        ratio_bound: opt.bound_num as f64 / opt.bound_den as f64,
+        bound_ok: f.alg * opt.bound_den >= opt.value * opt.bound_num,
+        rounds: f.stats.rounds,
+        round_cap: config.max_rounds,
+        stats: f.stats,
     }
 }
 

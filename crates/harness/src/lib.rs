@@ -27,9 +27,7 @@
 //! `BENCH_engine.json`, shared via [`congest_bench::ledger`]). A second,
 //! fault-injection suite re-runs selected cells under seeded message-drop
 //! and node-crash adversaries ([`congest_sim::Adversary`]) and records
-//! how each guarantee degrades — by construction the grouped matching
-//! stays *safe* (valid matching) under any fault schedule, while MIS
-//! independence is allowed to fail and is reported as data.
+//! how each guarantee degrades.
 //!
 //! A third suite — the [`degradation`] grid — sweeps the full fault
 //! model (drops, async delays, duplication, corruption, reordering,
@@ -42,12 +40,26 @@
 //! incremental `luby_repair`/`grouped_mwm_repair` variants against
 //! from-scratch recomputes, ledgered in `CHURN_engine.json`.
 //!
+//! The fault, degradation and churn cells run their protocol through one
+//! evaluator, so they assert one set of checks: Luby and Ghaffari agree
+//! between the sequential and parallel executors; the grouped matching
+//! agrees between them too and stays a valid matching under any fault
+//! schedule; Alg. 2 replays; every fault knob that is off leaves its
+//! counter at zero; restarts never outnumber crashes nor rejoins
+//! departures; and every run halts, reaches its round cap, or loses nodes
+//! to crashes or departures. Completion, progress, independence and the
+//! approximation ratio are *recorded*: faults may legitimately break them.
+//!
 //! A fifth suite — the [`service`] oracle grid — drives the
 //! matching-as-a-service façade (`congest-service`) through its whole
 //! request surface on the same small topologies and validates every
 //! *served* answer (matchings, MIS, point queries, post-delta repairs)
 //! against the exact oracles, ledgered in `SERVICE_engine.json`
 //! alongside the `load_gen` throughput records.
+//!
+//! [`Suites::run`] runs all five and [`Suites::grids`] renders the fresh
+//! grid each of the four [`LEDGERS`] gets; [`newest_grid_matches`] is the
+//! staleness check behind `harness --check` and its tier-1 twin.
 
 pub mod churn;
 pub mod degradation;
@@ -63,8 +75,8 @@ pub use degradation::{
 pub use service::{service_cell, service_suite, ServiceReport, SERVICE_SHARDS, SERVICE_WEIGHTINGS};
 
 use congest_approx::fast::{mcm_two_plus_eps, mwm_two_plus_eps};
-use congest_approx::matching::{mwm_grouped, mwm_grouped_with};
-use congest_approx::maxis::{alg2, alg3, Alg2Config};
+use congest_approx::matching::{mwm_grouped, mwm_grouped_with, mwm_grouped_with_parallel};
+use congest_approx::maxis::{alg2, alg2_with, alg3, Alg2Config};
 use congest_bench::ledger::{json_object, json_str};
 use congest_coloring::{deterministic_delta_plus_one, num_colors, verify_coloring};
 use congest_exact::{
@@ -72,7 +84,7 @@ use congest_exact::{
 };
 use congest_graph::{generators, Graph, NodeId};
 use congest_mis::{verify_mis, GhaffariMis, LubyMis, MisResult};
-use congest_sim::{run_protocol, Adversary, Engine, NodeInfo, Protocol, RunOutcome, SimConfig};
+use congest_sim::{Adversary, Engine, Protocol, RunOutcome, RunStats, SimConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -296,6 +308,16 @@ impl ProtocolKind {
     pub fn deterministic(self) -> bool {
         matches!(self, ProtocolKind::MaxIsAlg3 | ProtocolKind::Coloring)
     }
+
+    /// The weighting of the protocol's fault, degradation and churn cells:
+    /// uniform for the weighted objectives, unit for MIS.
+    pub fn fault_weighting(self) -> Weighting {
+        if self.weighted() {
+            Weighting::Uniform
+        } else {
+            Weighting::Unit
+        }
+    }
 }
 
 /// Generous round budget for one protocol on a graph with `n` nodes,
@@ -437,53 +459,37 @@ pub fn opt_value(kind: ProtocolKind, g: &Graph) -> CellOptimum {
     }
 }
 
-/// Shared MIS evaluation: run the protocol, verify
-/// maximality/independence, score the set weight.
-fn run_mis_cell<P: Protocol<Output = MisResult>>(
-    g: &Graph,
-    seed: u64,
-    factory: impl FnMut(&NodeInfo<'_>) -> P,
-) -> SeedOutcome {
-    let outcome = run_protocol(g, SimConfig::congest_for(g), factory, seed);
-    let rounds = outcome.stats.rounds;
-    let results: Vec<MisResult> = outcome.into_outputs();
-    match verify_mis(g, &results) {
-        Ok(set) => SeedOutcome {
-            valid: true,
-            rounds,
-            alg_value: set.weight(g),
-            opt_override: None,
-        },
-        Err(_) => SeedOutcome {
-            valid: false,
-            rounds,
-            alg_value: 0,
-            opt_override: None,
-        },
-    }
-}
-
-/// Runs an engine-driven MIS cell of the `suite` grid sequentially *and*
-/// in parallel, asserting the two executors agree on every output and
-/// statistic before scoring the sequential outcome.
-fn run_mis_both<P>(
-    suite: &str,
+/// Runs Luby or Ghaffari sequentially *and* in parallel, asserting the
+/// two executors agree on every output and statistic; returns the
+/// sequential outcome. `ctx` names the cell in the panic.
+fn run_mis_both(
+    ctx: &str,
+    kind: ProtocolKind,
     g: &Graph,
     config: &SimConfig,
-    factory: fn() -> P,
     seed: u64,
-) -> RunOutcome<MisResult>
-where
-    P: Protocol<Output = MisResult>,
-{
-    let seq = Engine::build(g, config.clone(), move |_| factory()).run(seed);
-    let par = Engine::build(g, config.clone(), move |_| factory()).run_parallel(seed);
-    assert_eq!(
-        seq.outputs, par.outputs,
-        "{suite} cell: sequential and parallel executors diverged"
-    );
-    assert_eq!(seq.stats, par.stats);
-    seq
+) -> RunOutcome<MisResult> {
+    fn both<P: Protocol<Output = MisResult>>(
+        ctx: &str,
+        g: &Graph,
+        config: &SimConfig,
+        factory: fn() -> P,
+        seed: u64,
+    ) -> RunOutcome<MisResult> {
+        let seq = Engine::build(g, config.clone(), move |_| factory()).run(seed);
+        let par = Engine::build(g, config.clone(), move |_| factory()).run_parallel(seed);
+        assert_eq!(
+            (&seq.outputs, &seq.stats),
+            (&par.outputs, &par.stats),
+            "{ctx}: sequential and parallel executors diverged"
+        );
+        seq
+    }
+    match kind {
+        ProtocolKind::LubyMis => both(ctx, g, config, LubyMis::new, seed),
+        ProtocolKind::GhaffariMis => both(ctx, g, config, || GhaffariMis::with_k(2.0), seed),
+        _ => unreachable!("{ctx}: {} is not an MIS protocol", kind.name()),
+    }
 }
 
 /// Shared scoring for the run shapes that carry (validity, rounds,
@@ -500,8 +506,14 @@ fn scored(valid: bool, rounds: usize, alg_value: u64) -> SeedOutcome {
 /// Runs one protocol once and evaluates validity + objective value.
 pub fn run_cell(kind: ProtocolKind, g: &Graph, seed: u64) -> SeedOutcome {
     match kind {
-        ProtocolKind::LubyMis => run_mis_cell(g, seed, |_| LubyMis::new()),
-        ProtocolKind::GhaffariMis => run_mis_cell(g, seed, |_| GhaffariMis::with_k(2.0)),
+        ProtocolKind::LubyMis | ProtocolKind::GhaffariMis => {
+            let run = run_mis_both("conformance", kind, g, &SimConfig::congest_for(g), seed);
+            let rounds = run.stats.rounds;
+            match verify_mis(g, &run.into_outputs()) {
+                Ok(set) => scored(true, rounds, set.weight(g)),
+                Err(_) => scored(false, rounds, 0),
+            }
+        }
         ProtocolKind::MaxIsAlg2 => {
             let run = alg2(g, &Alg2Config::default(), seed);
             scored(
@@ -778,25 +790,11 @@ impl FaultReport {
             ("param", json_str(self.topology.param)),
             ("seed", self.topology.graph_seed.to_string()),
         ]);
-        let adv = json_object(&[
-            ("drop_prob", format!("{}", self.adversary.drop_prob)),
-            ("dup_prob", format!("{}", self.adversary.dup_prob)),
-            ("reorder_prob", format!("{}", self.adversary.reorder_prob)),
-            ("corrupt_prob", format!("{}", self.adversary.corrupt_prob)),
-            ("crash_prob", format!("{}", self.adversary.crash_prob)),
-            (
-                "restart_after",
-                self.adversary
-                    .restart_after
-                    .map_or("null".to_string(), |k| k.to_string()),
-            ),
-            ("seed", self.adversary.seed.to_string()),
-        ]);
         json_object(&[
             ("suite", json_str("fault")),
             ("protocol", json_str(self.protocol)),
             ("graph", graph),
-            ("adversary", adv),
+            ("adversary", adversary_json(&self.adversary)),
             ("completed", self.completed.to_string()),
             ("decided_fraction", format!("{:.4}", self.decided_fraction)),
             ("safety_ok", self.safety_ok.to_string()),
@@ -822,17 +820,8 @@ pub fn fault_adversaries() -> Vec<Adversary> {
 
 /// Runs the fault suite: Luby/Ghaffari MIS and the grouped matching on
 /// the two most structurally different topologies (gnp, star), under
-/// every [`fault_adversaries`] schedule.
-///
-/// What is *asserted* (degrades gracefully, by construction):
-/// * every run terminates within a bounded round cap — faults can stall
-///   progress but never hang or panic the engine;
-/// * the grouped matching stays a **valid matching** under every
-///   schedule (mutual-confirmation assembly);
-/// * adversary statistics are consistent (drops only when `drop_prob >
-///   0`, crashes only when `crash_prob > 0`).
-///
-/// What is *recorded* (degrades, reported as data): completion,
+/// every [`fault_adversaries`] schedule. Each cell asserts the checks
+/// every faulted run shares (see the crate docs) and records completion,
 /// decided fraction, and MIS independence under message loss.
 pub fn fault_suite() -> Vec<FaultReport> {
     let topos: Vec<Topology> = topologies()
@@ -856,80 +845,294 @@ pub fn fault_suite() -> Vec<FaultReport> {
 
 /// Runs one fault cell (see [`fault_suite`] for the contract).
 pub fn fault_cell(kind: ProtocolKind, topo: &Topology, adv: Adversary) -> FaultReport {
-    let weighting = if kind == ProtocolKind::GroupedMwm {
-        Weighting::Uniform
-    } else {
-        Weighting::Unit
-    };
-    let g = build_graph(topo, weighting);
-    let n = g.num_nodes();
-    // Faults may prevent halting; a bounded cap keeps the suite total.
-    let cap = 64 * n + 256;
+    let g = build_graph(topo, kind.fault_weighting());
     let config = SimConfig::congest_for(&g)
-        .with_max_rounds(cap)
+        .with_max_rounds(fault_cap(g.num_nodes()))
         .with_adversary(adv);
-    let seed = 11;
-    let (completed, decided, safety_ok, stats) = match kind {
-        ProtocolKind::LubyMis | ProtocolKind::GhaffariMis => {
-            let outcome = if kind == ProtocolKind::LubyMis {
-                run_protocol(&g, config, |_| LubyMis::new(), seed)
-            } else {
-                run_protocol(&g, config, |_| GhaffariMis::with_k(2.0), seed)
-            };
-            let decided = outcome.outputs.iter().filter(|o| o.is_some()).count();
-            // Safety here = independence among nodes that *decided* InSet;
-            // under message loss this can fail and is recorded, not
-            // asserted.
-            let independent = !g.edges().any(|e| {
-                let (u, v) = g.endpoints(e);
-                outcome.outputs[u.index()] == Some(MisResult::InSet)
-                    && outcome.outputs[v.index()] == Some(MisResult::InSet)
-            });
-            (outcome.completed, decided, independent, outcome.stats)
-        }
-        ProtocolKind::GroupedMwm => {
-            let (run, completed) = mwm_grouped_with(&g, config, seed);
-            // By construction (mutual confirmation) this must hold under
-            // ANY fault schedule; a failure here is an engine/protocol
-            // bug, so it is asserted rather than recorded.
-            assert!(
-                run.matching.is_valid(&g),
-                "grouped matching lost safety under faults on {}",
-                topo.family
-            );
-            let decided = 2 * run.matching.len();
-            (completed, decided, true, run.stats)
-        }
-        _ => unreachable!("fault suite only runs MIS and grouped matching"),
-    };
-    // A run can only end in one of three observable ways: every node
-    // halted, the cap fired, or crashes emptied the active set. Anything
-    // else would mean the engine's round loop escaped its bound (a
-    // plain `rounds <= cap` would be tautological — the loop condition
-    // *is* the cap).
-    assert!(
-        completed || stats.rounds == cap || stats.crashed_nodes > 0,
-        "fault run ended without halting, exhausting the cap, or crashing out"
-    );
-    if adv.drop_prob == 0.0 {
-        assert_eq!(
-            stats.adversary_dropped_messages, 0,
-            "drops without drop_prob"
-        );
-    }
-    if adv.crash_prob == 0.0 {
-        assert_eq!(stats.crashed_nodes, 0, "crashes without crash_prob");
-    }
+    let ctx = format!("fault {} on {}", kind.name(), topo.family);
+    let f = run_faulted(&ctx, kind, &g, &config);
     FaultReport {
         protocol: kind.name(),
         topology: *topo,
         adversary: adv,
-        completed,
-        decided_fraction: decided as f64 / n as f64,
-        safety_ok,
-        adversary_dropped: stats.adversary_dropped_messages,
-        crashed_nodes: stats.crashed_nodes,
+        completed: f.completed,
+        decided_fraction: f.decided as f64 / g.num_nodes() as f64,
+        safety_ok: f.safety_ok,
+        adversary_dropped: f.stats.adversary_dropped_messages,
+        crashed_nodes: f.stats.crashed_nodes,
     }
+}
+
+/// The ledger object of an adversary's delivery-fault knobs, shared by
+/// the fault and degradation records.
+fn adversary_json(a: &Adversary) -> String {
+    json_object(&[
+        ("drop_prob", format!("{}", a.drop_prob)),
+        ("dup_prob", format!("{}", a.dup_prob)),
+        ("reorder_prob", format!("{}", a.reorder_prob)),
+        ("corrupt_prob", format!("{}", a.corrupt_prob)),
+        ("crash_prob", format!("{}", a.crash_prob)),
+        (
+            "restart_after",
+            a.restart_after
+                .map_or("null".to_string(), |k| k.to_string()),
+        ),
+        ("seed", a.seed.to_string()),
+    ])
+}
+
+/// Round cap of every faulted run on `n` nodes: faults may prevent
+/// halting, and a bounded cap keeps the suites total.
+fn fault_cap(n: usize) -> usize {
+    64 * n + 256
+}
+
+/// Engine seed of every faulted run.
+const FAULT_SEED: u64 = 11;
+
+/// One run of a fault-tolerant protocol under a faulty [`SimConfig`]
+/// (see [`run_faulted`]).
+struct Faulted {
+    /// Every node halted normally.
+    completed: bool,
+    /// Nodes that made useful progress: produced an output (MIS), ended
+    /// up matched (grouped — a stalled node still outputs "unmatched" at
+    /// the round cap), or joined the set (Alg. 2, whose `alg2_with` exposes no
+    /// per-node outputs).
+    decided: usize,
+    /// Independence among in-set nodes (MIS, Alg. 2) or matching validity
+    /// (grouped, where it is also asserted).
+    safety_ok: bool,
+    /// The objective reached: set weight or matching weight.
+    alg: u64,
+    /// Engine statistics of the sequential run.
+    stats: RunStats,
+}
+
+/// Runs one of the four protocols with a fault-tolerant entry point under
+/// `config`, with seed 11, asserts what holds by construction, and checks
+/// the fault counters with [`assert_faults_follow_knobs`]. `ctx` names
+/// the cell in every panic.
+///
+/// Asserted: Luby and Ghaffari agree between the sequential and parallel
+/// executors on outputs and stats; the grouped matching agrees between
+/// `mwm_grouped_with` and `mwm_grouped_with_parallel` on stats and
+/// matching, which also replays the fault schedule, and its
+/// mutual-confirmation assembly keeps the matching valid under any
+/// schedule; Alg. 2 replays. Recorded: completion, progress, MIS and
+/// MaxIS independence (under message loss two neighbours can both join),
+/// and the objective.
+fn run_faulted(ctx: &str, kind: ProtocolKind, g: &Graph, config: &SimConfig) -> Faulted {
+    let f = match kind {
+        ProtocolKind::LubyMis | ProtocolKind::GhaffariMis => {
+            let run = run_mis_both(ctx, kind, g, config, FAULT_SEED);
+            let in_set = |v: NodeId| run.outputs[v.index()] == Some(MisResult::InSet);
+            Faulted {
+                completed: run.completed,
+                decided: run.outputs.iter().filter(|o| o.is_some()).count(),
+                safety_ok: !g.edges().any(|e| {
+                    let (u, v) = g.endpoints(e);
+                    in_set(u) && in_set(v)
+                }),
+                alg: g
+                    .nodes()
+                    .filter(|&v| in_set(v))
+                    .map(|v| g.node_weight(v))
+                    .sum(),
+                stats: run.stats,
+            }
+        }
+        ProtocolKind::GroupedMwm => {
+            let (seq, completed) = mwm_grouped_with(g, config.clone(), FAULT_SEED);
+            let (par, _) = mwm_grouped_with_parallel(g, config.clone(), FAULT_SEED);
+            assert_eq!(
+                (&seq.stats, &seq.matching),
+                (&par.stats, &par.matching),
+                "{ctx}: grouped matching executors diverged"
+            );
+            assert!(
+                seq.matching.is_valid(g),
+                "{ctx}: grouped matching lost safety"
+            );
+            Faulted {
+                completed,
+                decided: 2 * seq.matching.len(),
+                safety_ok: true,
+                alg: seq.matching.weight(g),
+                stats: seq.stats,
+            }
+        }
+        ProtocolKind::MaxIsAlg2 => {
+            let (a, completed) = alg2_with(g, &Alg2Config::default(), config.clone(), FAULT_SEED);
+            let (b, _) = alg2_with(g, &Alg2Config::default(), config.clone(), FAULT_SEED);
+            assert_eq!(
+                (&a.stats, &a.independent_set),
+                (&b.stats, &b.independent_set),
+                "{ctx}: alg2 run must replay"
+            );
+            let set = a.independent_set;
+            Faulted {
+                completed,
+                decided: set.len(),
+                safety_ok: set.is_independent(g),
+                alg: set.weight(g),
+                stats: a.stats,
+            }
+        }
+        _ => unreachable!("{ctx}: {} has no fault-tolerant entry point", kind.name()),
+    };
+    assert_faults_follow_knobs(ctx, config, &f);
+    f
+}
+
+/// Asserts that a faulted run's counters follow `config`'s knobs: every
+/// knob that is off leaves its counter at zero, restarts never outnumber
+/// crashes nor rejoins departures, and the run ended in a legal state —
+/// every node halted, the round cap fired, or crashes or departures
+/// silenced part of the graph. (A plain `rounds <= cap` would be
+/// tautological: the round loop's condition *is* the cap.)
+fn assert_faults_follow_knobs(ctx: &str, config: &SimConfig, f: &Faulted) {
+    let adv = config.adversary.unwrap_or_default();
+    let s = &f.stats;
+    let zero_if = |knob_off: bool, count: u64, what: &str| {
+        assert!(!knob_off || count == 0, "{ctx}: {count} {what}");
+    };
+    // A down churn edge eats its messages into the drop counter too.
+    let no_drops = adv.drop_prob == 0.0 && adv.edge_flip_prob == 0.0;
+    zero_if(
+        no_drops,
+        s.adversary_dropped_messages,
+        "drops without drop_prob",
+    );
+    zero_if(
+        adv.dup_prob == 0.0,
+        s.duplicated_messages,
+        "duplicates without dup_prob",
+    );
+    zero_if(
+        adv.corrupt_prob == 0.0,
+        s.corrupted_messages,
+        "corruptions without corrupt_prob",
+    );
+    zero_if(
+        adv.crash_prob == 0.0,
+        s.crashed_nodes,
+        "crashes without crash_prob",
+    );
+    zero_if(
+        adv.edge_flip_prob == 0.0,
+        s.edges_flipped,
+        "flips without edge_flip_prob",
+    );
+    zero_if(
+        adv.node_join_prob == 0.0,
+        s.nodes_joined,
+        "joins without node_join_prob",
+    );
+    zero_if(
+        adv.node_leave_prob == 0.0,
+        s.nodes_left,
+        "leaves without node_leave_prob",
+    );
+    zero_if(
+        config.scheduler.is_none(),
+        s.delayed_messages,
+        "delays without a scheduler",
+    );
+    assert!(
+        s.restarted_nodes <= s.crashed_nodes,
+        "{ctx}: more restarts than crashes"
+    );
+    assert!(
+        s.nodes_joined <= s.nodes_left,
+        "{ctx}: more rejoins than departures"
+    );
+    assert!(
+        f.completed || s.rounds == config.max_rounds || s.crashed_nodes > 0 || s.nodes_left > 0,
+        "{ctx}: run ended without halting, exhausting the cap, or losing nodes"
+    );
+}
+
+/// The four ledgers the harness appends to, in [`Suites::grids`] order.
+pub const LEDGERS: [&str; 4] = [
+    "QUALITY_engine.json",
+    "DEGRADATION_engine.json",
+    "CHURN_engine.json",
+    "SERVICE_engine.json",
+];
+
+/// The records of every suite, from one run of each.
+pub struct Suites {
+    /// The conformance matrix.
+    pub conformance: Vec<CellReport>,
+    /// The fault-injection suite.
+    pub faults: Vec<FaultReport>,
+    /// The degradation grid.
+    pub degradation: Vec<DegradationReport>,
+    /// The churn grid, then its acceptance rows.
+    pub churn: Vec<ChurnReport>,
+    /// The service oracle grid.
+    pub service: Vec<ServiceReport>,
+}
+
+impl Suites {
+    /// Runs every suite, panicking on any violated guarantee.
+    pub fn run() -> Self {
+        Suites {
+            conformance: conformance_suite(),
+            faults: fault_suite(),
+            degradation: degradation_suite(),
+            churn: churn_suite()
+                .into_iter()
+                .chain(churn_acceptance())
+                .collect(),
+            service: service_suite(),
+        }
+    }
+
+    /// The fresh grid of each of the [`LEDGERS`]: the records one run
+    /// appends to it (QUALITY takes the conformance then the fault rows).
+    pub fn grids(&self) -> [Vec<String>; 4] {
+        [
+            self.conformance
+                .iter()
+                .map(CellReport::to_json)
+                .chain(self.faults.iter().map(FaultReport::to_json))
+                .collect(),
+            self.degradation
+                .iter()
+                .map(DegradationReport::to_json)
+                .collect(),
+            self.churn.iter().map(ChurnReport::to_json).collect(),
+            self.service.iter().map(ServiceReport::to_json).collect(),
+        ]
+    }
+}
+
+/// Whether the last `fresh.len()` records of the ledger at `path` equal
+/// `fresh`, printing the verdict.
+pub fn newest_grid_matches(path: &str, fresh: &[String]) -> bool {
+    let contents = std::fs::read_to_string(path).unwrap_or_default();
+    let ledger = congest_bench::ledger::records(&contents, path);
+    let newest = &ledger[ledger.len().saturating_sub(fresh.len())..];
+    let differ = if newest.len() < fresh.len() {
+        fresh.len()
+    } else {
+        fresh
+            .iter()
+            .zip(newest)
+            .filter(|(f, l)| f.trim() != **l)
+            .count()
+    };
+    if differ == 0 {
+        println!("{path}: the newest {} records match", fresh.len());
+    } else {
+        println!(
+            "{path}: {differ} of the newest {} records differ from a fresh run",
+            fresh.len()
+        );
+    }
+    differ == 0
 }
 
 #[cfg(test)]
@@ -993,5 +1196,51 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"suite\": \"fault\""));
         assert!(json.contains("\"drop_prob\": 0.1"));
+    }
+
+    /// A completed run with the given counters, for the knob checks.
+    fn completed_with(stats: RunStats) -> Faulted {
+        Faulted {
+            completed: true,
+            decided: 0,
+            safety_ok: true,
+            alg: 0,
+            stats,
+        }
+    }
+
+    #[test]
+    fn drops_under_edge_flips_alone_pass_the_knob_check() {
+        let config = SimConfig::local().with_adversary(Adversary::edge_flips(0.1, 1));
+        let stats = RunStats {
+            edges_flipped: 4,
+            adversary_dropped_messages: 7,
+            ..RunStats::default()
+        };
+        assert_faults_follow_knobs("flip", &config, &completed_with(stats));
+    }
+
+    #[test]
+    #[should_panic(expected = "drops without drop_prob")]
+    fn drops_without_a_fault_knob_panic() {
+        let config = SimConfig::local().with_adversary(Adversary::default());
+        let stats = RunStats {
+            adversary_dropped_messages: 1,
+            ..RunStats::default()
+        };
+        assert_faults_follow_knobs("default", &config, &completed_with(stats));
+    }
+
+    #[test]
+    #[should_panic(expected = "more restarts than crashes")]
+    fn more_restarts_than_crashes_panic() {
+        let adv = Adversary::node_crashes(0.1, 1).with_restart_after(3);
+        let config = SimConfig::local().with_adversary(adv);
+        let stats = RunStats {
+            crashed_nodes: 1,
+            restarted_nodes: 2,
+            ..RunStats::default()
+        };
+        assert_faults_follow_knobs("restart", &config, &completed_with(stats));
     }
 }

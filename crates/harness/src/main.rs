@@ -26,16 +26,12 @@
 //! that moves any checked-in record without re-running the grid fails.
 
 use congest_bench::Table;
-use congest_harness::{
-    churn_acceptance, churn_suite, conformance_suite, degradation_suite, fault_suite,
-    service_suite, SEEDS,
-};
+use congest_harness::{newest_grid_matches, Suites, LEDGERS};
 
 fn main() {
-    let mut out_path = "QUALITY_engine.json".to_string();
-    let mut degradation_path = "DEGRADATION_engine.json".to_string();
-    let mut churn_path = "CHURN_engine.json".to_string();
-    let mut service_path = "SERVICE_engine.json".to_string();
+    // One path per ledger, in `LEDGERS` order: QUALITY (positional),
+    // degradation, churn, service.
+    let mut paths = LEDGERS.map(String::from);
     let mut check = false;
     // CLI flag parsing is this binary's job; the workspace-wide ban
     // (clippy.toml) targets protocol code, not the harness entry point.
@@ -43,17 +39,17 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--degradation" {
-            degradation_path = args.next().expect("--degradation needs a path");
+            paths[1] = args.next().expect("--degradation needs a path");
         } else if let Some(v) = arg.strip_prefix("--degradation=") {
-            degradation_path = v.to_string();
+            paths[1] = v.to_string();
         } else if arg == "--churn" {
-            churn_path = args.next().expect("--churn needs a path");
+            paths[2] = args.next().expect("--churn needs a path");
         } else if let Some(v) = arg.strip_prefix("--churn=") {
-            churn_path = v.to_string();
+            paths[2] = v.to_string();
         } else if arg == "--service" {
-            service_path = args.next().expect("--service needs a path");
+            paths[3] = args.next().expect("--service needs a path");
         } else if let Some(v) = arg.strip_prefix("--service=") {
-            service_path = v.to_string();
+            paths[3] = v.to_string();
         } else if arg == "--check" {
             check = true;
         } else if arg.starts_with('-') {
@@ -62,30 +58,17 @@ fn main() {
                 "unknown flag {arg}; usage: harness [PATH] [--degradation PATH] [--churn PATH] [--service PATH] [--check]"
             );
         } else {
-            out_path = arg;
+            paths[0] = arg;
         }
     }
 
-    eprintln!(
-        "running conformance matrix ({} engine seed(s) per cell)...",
-        SEEDS.len()
-    );
-    let conformance = conformance_suite();
-    eprintln!("running fault-injection suite...");
-    let faults = fault_suite();
-    eprintln!("running degradation grid...");
-    let degradation = degradation_suite();
-    eprintln!("running churn grid...");
-    let mut churn = churn_suite();
-    eprintln!("running churn repair acceptance rows (gnp-10k)...");
-    churn.extend(churn_acceptance());
-    eprintln!("running service oracle grid...");
-    let service = service_suite();
+    eprintln!("running the conformance, fault, degradation, churn and service suites...");
+    let suites = Suites::run();
 
     let mut table = Table::new(&[
         "protocol", "graph", "weights", "valid", "rounds", "budget", "ratio", "bound", "oracle",
     ]);
-    for r in &conformance {
+    for r in &suites.conformance {
         table.row(vec![
             r.protocol.to_string(),
             r.topology.family.to_string(),
@@ -111,7 +94,7 @@ fn main() {
         "adv_dropped",
         "crashed",
     ]);
-    for r in &faults {
+    for r in &suites.faults {
         fault_table.row(vec![
             r.protocol.to_string(),
             r.topology.family.to_string(),
@@ -138,7 +121,7 @@ fn main() {
         "bound_ok",
         "rounds",
     ]);
-    for r in &degradation {
+    for r in &suites.degradation {
         degradation_table.row(vec![
             r.protocol.to_string(),
             r.topology.family.to_string(),
@@ -166,7 +149,7 @@ fn main() {
         "recompute",
         "cheaper",
     ]);
-    for r in &churn {
+    for r in &suites.churn {
         churn_table.row(vec![
             r.protocol.to_string(),
             r.family.clone(),
@@ -186,7 +169,7 @@ fn main() {
         "graph", "weights", "shards", "matching", "ratio", "oracle", "mis", "queries", "repair",
         "cache",
     ]);
-    for r in &service {
+    for r in &suites.service {
         service_table.row(vec![
             r.topology.family.to_string(),
             r.weighting.to_string(),
@@ -202,33 +185,12 @@ fn main() {
     }
     service_table.print();
 
-    let quality: Vec<String> = conformance
-        .iter()
-        .map(|r| r.to_json())
-        .chain(faults.iter().map(|r| r.to_json()))
-        .collect();
-    let ledgers = [
-        (out_path, quality, "conformance + fault"),
-        (
-            degradation_path,
-            degradation.iter().map(|r| r.to_json()).collect(),
-            "degradation",
-        ),
-        (
-            churn_path,
-            churn.iter().map(|r| r.to_json()).collect(),
-            "churn",
-        ),
-        (
-            service_path,
-            service.iter().map(|r| r.to_json()).collect(),
-            "service oracle",
-        ),
-    ];
+    let grids = suites.grids();
     if check {
-        let stale = ledgers
+        let stale = paths
             .iter()
-            .filter(|(path, fresh, _)| !newest_grid_matches(path, fresh))
+            .zip(&grids)
+            .filter(|(path, fresh)| !newest_grid_matches(path, fresh))
             .count();
         if stale > 0 {
             eprintln!("{stale} ledger(s) are stale: re-run the harness and append a fresh grid");
@@ -236,34 +198,8 @@ fn main() {
         }
         return;
     }
-    for (path, records, what) in &ledgers {
+    for (path, records) in paths.iter().zip(&grids) {
         congest_bench::ledger::append_to_file(path, records);
-        println!("wrote {path}: {} {what} records", records.len());
+        println!("wrote {path}: {} records", records.len());
     }
-}
-
-/// Whether the last `fresh.len()` records of the ledger at `path` equal
-/// `fresh`, printing the verdict.
-fn newest_grid_matches(path: &str, fresh: &[String]) -> bool {
-    let contents = std::fs::read_to_string(path).unwrap_or_default();
-    let ledger = congest_bench::ledger::records(&contents, path);
-    let newest = &ledger[ledger.len().saturating_sub(fresh.len())..];
-    let differ = if newest.len() < fresh.len() {
-        fresh.len()
-    } else {
-        fresh
-            .iter()
-            .zip(newest)
-            .filter(|(f, l)| f.trim() != **l)
-            .count()
-    };
-    if differ == 0 {
-        println!("{path}: the newest {} records match", fresh.len());
-    } else {
-        println!(
-            "{path}: {differ} of the newest {} records differ from a fresh run",
-            fresh.len()
-        );
-    }
-    differ == 0
 }

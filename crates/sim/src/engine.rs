@@ -259,10 +259,6 @@ impl<O> RunOutcome<O> {
 pub struct ShardedRun<O> {
     /// The protocol run itself, indistinguishable from a sequential run.
     pub outcome: RunOutcome<O>,
-    /// Number of shards the slot space was partitioned into.
-    pub shards: usize,
-    /// Undirected edges whose endpoints live in different shards.
-    pub cross_shard_edges: usize,
     /// Delivered messages that crossed a shard boundary (both directions
     /// counted, like [`RunStats::total_messages`]). Kept out of
     /// [`RunStats`] so stats stay executor-independent.
@@ -932,12 +928,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
             partition.num_slots(),
             self.graph.num_nodes()
         );
-        let cross_shard_edges = partition.cross_shard_edges(self.graph);
         let (outcome, cross_shard_messages) = self.run_on(seed, partition);
         ShardedRun {
             outcome,
-            shards: partition.shards(),
-            cross_shard_edges,
             cross_shard_messages,
         }
     }
@@ -1846,8 +1839,6 @@ mod tests {
                 assert_eq!(run.outcome.completed, base.completed, "trial {trial}");
                 assert_eq!(run.outcome.outputs, base.outputs, "trial {trial}/{shards}");
                 assert_eq!(run.outcome.stats, base.stats, "trial {trial}/{shards}");
-                assert_eq!(run.shards, shards);
-                assert_eq!(run.cross_shard_edges, p.cross_shard_edges(&g));
                 if shards == 1 {
                     assert_eq!(run.cross_shard_messages, 0);
                 }
@@ -1902,7 +1893,6 @@ mod tests {
         })
         .run_sharded(3, &p);
         assert!(run.outcome.completed);
-        assert_eq!(run.cross_shard_edges, 1);
         assert_eq!(run.cross_shard_messages, 2);
     }
 

@@ -97,16 +97,6 @@ impl Message for u64 {
     }
 }
 
-impl Message for f64 {
-    /// Floating-point payloads are charged 64 bits. Protocols with a
-    /// documented lower precision (e.g. the `O(log Δ / ε²)`-bit attenuation
-    /// values of Appendix B.3) should wrap the value in their own message
-    /// type and report the documented width.
-    fn bit_size(&self) -> usize {
-        64
-    }
-}
-
 impl<T: Message> Message for Option<T> {
     fn bit_size(&self) -> usize {
         1 + self.as_ref().map_or(0, Message::bit_size)
@@ -116,12 +106,6 @@ impl<T: Message> Message for Option<T> {
 impl<A: Message, B: Message> Message for (A, B) {
     fn bit_size(&self) -> usize {
         self.0.bit_size() + self.1.bit_size()
-    }
-}
-
-impl<A: Message, B: Message, C: Message> Message for (A, B, C) {
-    fn bit_size(&self) -> usize {
-        self.0.bit_size() + self.1.bit_size() + self.2.bit_size()
     }
 }
 
@@ -216,6 +200,5 @@ mod tests {
         assert_eq!(Some(5u64).bit_size(), 4);
         assert_eq!(None::<u64>.bit_size(), 1);
         assert_eq!((true, 5u64).bit_size(), 4);
-        assert_eq!((true, 5u64, 2u32).bit_size(), 6);
     }
 }
