@@ -26,7 +26,8 @@
 
 use congest_graph::{Graph, IndependentSet, NodeId};
 use congest_sim::{
-    bits_for_value, run_protocol, Context, Inbox, Message, PackedMsg, Protocol, SimConfig, Status,
+    bits_for_value, run_protocol, Context, Engine, Inbox, Message, PackedMsg, Protocol, RunOutcome,
+    SimConfig, Status,
 };
 use rand::Rng;
 
@@ -381,6 +382,25 @@ pub fn alg2(g: &Graph, cfg: &Alg2Config, seed: u64) -> MaxIsRun {
 pub fn alg2_with(g: &Graph, cfg: &Alg2Config, config: SimConfig, seed: u64) -> (MaxIsRun, bool) {
     let cfg = *cfg;
     let outcome = run_protocol(g, config, move |_| Alg2Node::new(cfg), seed);
+    finish_alg2_run(g, &outcome)
+}
+
+/// [`alg2_with`] on the engine's deterministic parallel executor: same
+/// protocol, same assembly, bit-identical set and statistics for a given
+/// `(graph, config, seed)`, so the harness can check Alg. 2 across
+/// executors under every fault knob.
+pub fn alg2_with_parallel(
+    g: &Graph,
+    cfg: &Alg2Config,
+    config: SimConfig,
+    seed: u64,
+) -> (MaxIsRun, bool) {
+    let cfg = *cfg;
+    let outcome = Engine::build(g, config, move |_| Alg2Node::new(cfg)).run_parallel(seed);
+    finish_alg2_run(g, &outcome)
+}
+
+fn finish_alg2_run(g: &Graph, outcome: &RunOutcome<bool>) -> (MaxIsRun, bool) {
     let completed = outcome.completed;
     let stats = outcome.stats.clone();
     let independent_set = IndependentSet::from_members(

@@ -18,7 +18,7 @@ mod naive_parallel;
 mod seq_lr;
 mod verify;
 
-pub use alg2::{alg2, alg2_with, Alg2Config, Alg2Msg, MisBox};
+pub use alg2::{alg2, alg2_with, alg2_with_parallel, Alg2Config, Alg2Msg, MisBox};
 pub use alg3::{alg3, Alg3Msg, Alg3Run};
 pub use naive_parallel::naive_parallel_lr;
 pub use seq_lr::{sequential_local_ratio, SelectionRule};

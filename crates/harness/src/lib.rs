@@ -76,7 +76,7 @@ pub use service::{service_cell, service_suite, ServiceReport, SERVICE_SHARDS, SE
 
 use congest_approx::fast::{mcm_two_plus_eps, mwm_two_plus_eps};
 use congest_approx::matching::{mwm_grouped, mwm_grouped_with, mwm_grouped_with_parallel};
-use congest_approx::maxis::{alg2, alg2_with, alg3, Alg2Config};
+use congest_approx::maxis::{alg2, alg2_with, alg2_with_parallel, alg3, Alg2Config};
 use congest_bench::ledger::{json_object, json_str};
 use congest_coloring::{deterministic_delta_plus_one, num_colors, verify_coloring};
 use congest_exact::{
@@ -914,12 +914,13 @@ struct Faulted {
 /// the fault counters with [`assert_faults_follow_knobs`]. `ctx` names
 /// the cell in every panic.
 ///
-/// Asserted: Luby and Ghaffari agree between the sequential and parallel
-/// executors on outputs and stats; the grouped matching agrees between
-/// `mwm_grouped_with` and `mwm_grouped_with_parallel` on stats and
-/// matching, which also replays the fault schedule, and its
-/// mutual-confirmation assembly keeps the matching valid under any
-/// schedule; Alg. 2 replays. Recorded: completion, progress, MIS and
+/// Asserted: every protocol agrees between the sequential and parallel
+/// executors, which also replays the fault schedule — Luby and Ghaffari
+/// on outputs and stats, the grouped matching (`mwm_grouped_with` against
+/// `mwm_grouped_with_parallel`) on stats and matching, Alg. 2
+/// (`alg2_with` against `alg2_with_parallel`) on stats and set — and the
+/// grouped matching's mutual-confirmation assembly keeps the matching
+/// valid under any schedule. Recorded: completion, progress, MIS and
 /// MaxIS independence (under message loss two neighbours can both join),
 /// and the objective.
 fn run_faulted(ctx: &str, kind: ProtocolKind, g: &Graph, config: &SimConfig) -> Faulted {
@@ -963,12 +964,13 @@ fn run_faulted(ctx: &str, kind: ProtocolKind, g: &Graph, config: &SimConfig) -> 
             }
         }
         ProtocolKind::MaxIsAlg2 => {
-            let (a, completed) = alg2_with(g, &Alg2Config::default(), config.clone(), FAULT_SEED);
-            let (b, _) = alg2_with(g, &Alg2Config::default(), config.clone(), FAULT_SEED);
+            let cfg = Alg2Config::default();
+            let (a, completed) = alg2_with(g, &cfg, config.clone(), FAULT_SEED);
+            let (b, _) = alg2_with_parallel(g, &cfg, config.clone(), FAULT_SEED);
             assert_eq!(
                 (&a.stats, &a.independent_set),
                 (&b.stats, &b.independent_set),
-                "{ctx}: alg2 run must replay"
+                "{ctx}: alg2 executors diverged"
             );
             let set = a.independent_set;
             Faulted {

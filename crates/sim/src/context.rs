@@ -3,7 +3,60 @@ use std::marker::PhantomData;
 use congest_graph::NodeId;
 use rand::rngs::SmallRng;
 
-use crate::{NodeInfo, PackedMsg, Port};
+use crate::{Message, NodeInfo, PackedMsg, Port, RunStats};
+
+/// What one compute worker's sends cost in one phase: the message count,
+/// the largest message and the count over the bit budget, which the
+/// engine adds to [`RunStats`]. Sums and a max, so the meters of however
+/// many workers merge into the sequential one.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Meter {
+    /// [`SimConfig::bit_budget`](crate::SimConfig::bit_budget).
+    pub(crate) budget: Option<usize>,
+    pub(crate) messages: u64,
+    pub(crate) max_bits: usize,
+    pub(crate) over_budget: u64,
+}
+
+impl Meter {
+    pub(crate) fn new(budget: Option<usize>) -> Self {
+        Meter {
+            budget,
+            ..Meter::default()
+        }
+    }
+
+    /// Charges `msg` once per port it was written to; a send that wrote
+    /// no port costs nothing, not even its size.
+    #[inline]
+    fn charge(&mut self, msg: &impl Message, ports: u64) {
+        if ports == 0 {
+            return;
+        }
+        let bits = msg.bit_size();
+        self.messages += ports;
+        self.max_bits = self.max_bits.max(bits);
+        if self.budget.is_some_and(|budget| bits > budget) {
+            self.over_budget += ports;
+        }
+    }
+
+    pub(crate) fn merge(self, other: Meter) -> Meter {
+        Meter {
+            budget: self.budget,
+            messages: self.messages + other.messages,
+            max_bits: self.max_bits.max(other.max_bits),
+            over_budget: self.over_budget + other.over_budget,
+        }
+    }
+
+    /// Adds one compute phase's meter to the run's statistics.
+    pub(crate) fn add_to(self, stats: &mut RunStats) {
+        stats.total_messages += self.messages;
+        stats.max_message_bits = stats.max_message_bits.max(self.max_bits);
+        stats.budget_violations += self.over_budget;
+    }
+}
 
 /// Per-round execution context handed to a [`Protocol`](crate::Protocol).
 ///
@@ -15,6 +68,13 @@ use crate::{NodeInfo, PackedMsg, Port};
 /// into its 64-bit wire word (see [`PackedMsg`]) and writes it straight
 /// into the node's send-plane row, setting the port's occupancy bit. A
 /// broadcast therefore packs **once** and fans the word out — no clones.
+///
+/// A message is metered when it is sent: each send call charges the
+/// message's [`bit_size`](Message::bit_size) once, times the number of
+/// ports it wrote, to [`RunStats::total_messages`],
+/// [`max_message_bits`](RunStats::max_message_bits) and
+/// [`budget_violations`](RunStats::budget_violations), whatever then
+/// becomes of the message in flight.
 pub struct Context<'a, M: PackedMsg> {
     pub(crate) info: &'a NodeInfo<'a>,
     pub(crate) rng: &'a mut SmallRng,
@@ -24,6 +84,8 @@ pub struct Context<'a, M: PackedMsg> {
     /// This node's send-plane occupancy words (bit `p % 64` of word
     /// `p / 64` ⇔ port `p` carries a message).
     pub(crate) out_occ: &'a mut [u64],
+    /// The meter of the compute worker stepping this node.
+    pub(crate) meter: &'a mut Meter,
     pub(crate) _msg: PhantomData<fn(M)>,
 }
 
@@ -101,6 +163,7 @@ impl<'a, M: PackedMsg> Context<'a, M> {
     pub fn send(&mut self, port: Port, msg: M) {
         assert!(port < self.out_words.len(), "port {port} out of range");
         self.place_word(port, msg.pack());
+        self.meter.charge(&msg, 1);
     }
 
     /// Sends `msg` through every port (a CONGEST-legal broadcast: each
@@ -120,6 +183,7 @@ impl<'a, M: PackedMsg> Context<'a, M> {
         for port in 0..ports {
             self.place_word(port, word);
         }
+        self.meter.charge(&msg, ports as u64);
     }
 
     /// Sends `msg` through every port for which `filter` returns true.
@@ -128,11 +192,14 @@ impl<'a, M: PackedMsg> Context<'a, M> {
     #[allow(clippy::needless_pass_by_value)] // moves into the plane, as in `send`
     pub fn broadcast_filtered(&mut self, msg: M, mut filter: impl FnMut(Port) -> bool) {
         let word = msg.pack();
+        let mut sent = 0;
         for port in 0..self.out_words.len() {
             if filter(port) {
                 self.place_word(port, word);
+                sent += 1;
             }
         }
+        self.meter.charge(&msg, sent);
     }
 }
 
@@ -162,12 +229,14 @@ mod tests {
         let mut rng = node_rng(1, NodeId(3));
         let mut words = [0u64; 2];
         let mut occ = [0u64; 1];
+        let mut meter = Meter::new(Some(5));
         let mut ctx: Context<'_, u64> = Context {
             info: &info,
             rng: &mut rng,
             round: 1,
             out_words: &mut words,
             out_occ: &mut occ,
+            meter: &mut meter,
             _msg: PhantomData,
         };
         assert_eq!(ctx.neighbor(1), NodeId(7));
@@ -175,6 +244,11 @@ mod tests {
         ctx.send(0, 42);
         assert_eq!(words, [42, 0]);
         assert_eq!(occ, [0b01]);
+        // 42 takes 6 bits, over the budget of 5.
+        assert_eq!(
+            (meter.messages, meter.max_bits, meter.over_budget),
+            (1, 6, 1)
+        );
     }
 
     #[test]
@@ -184,12 +258,14 @@ mod tests {
         let mut rng = node_rng(1, NodeId(3));
         let mut words = [0u64; 2];
         let mut occ = [0u64; 1];
+        let mut meter = Meter::new(Some(5));
         let mut ctx: Context<'_, u64> = Context {
             info: &info,
             rng: &mut rng,
             round: 1,
             out_words: &mut words,
             out_occ: &mut occ,
+            meter: &mut meter,
             _msg: PhantomData,
         };
         ctx.send(0, 1);
@@ -202,16 +278,25 @@ mod tests {
         let mut rng = node_rng(1, NodeId(3));
         let mut words = [0u64; 2];
         let mut occ = [0u64; 1];
+        let mut meter = Meter::new(Some(5));
         let mut ctx: Context<'_, u32> = Context {
             info: &info,
             rng: &mut rng,
             round: 2,
             out_words: &mut words,
             out_occ: &mut occ,
+            meter: &mut meter,
             _msg: PhantomData,
         };
         ctx.broadcast(9);
+        ctx.broadcast_filtered(u32::MAX, |_| false);
         assert_eq!(words, [9, 9]);
         assert_eq!(occ, [0b11]);
+        // One 4-bit charge per port; the filter that selected no port
+        // charges nothing.
+        assert_eq!(
+            (meter.messages, meter.max_bits, meter.over_budget),
+            (2, 4, 0)
+        );
     }
 }

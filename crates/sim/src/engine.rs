@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use congest_graph::{Graph, NodeId, ShardPartition};
 use rand::rngs::SmallRng;
 
+use crate::context::Meter;
 use crate::message::bits_for_count;
 use crate::rng::{node_rng, phase_seed};
 use crate::sched::AsyncScheduler;
@@ -141,9 +142,14 @@ pub struct RunStats {
     pub rounds: usize,
     /// Total messages sent (including ones dropped at halted receivers).
     pub total_messages: u64,
-    /// Largest message observed, in bits.
+    /// Largest message sent, in bits ([`Message::bit_size`]). A message
+    /// is metered when it is sent, by its sender's [`Context`], so a
+    /// message lost in flight still counts, and a send that wrote no
+    /// port does not.
     pub max_message_bits: usize,
-    /// Messages exceeding the configured bit budget.
+    /// Messages exceeding the configured bit budget, metered when sent
+    /// like [`max_message_bits`](Self::max_message_bits): a broadcast
+    /// over the budget counts once per port it wrote.
     pub budget_violations: u64,
     /// Messages whose receiver was *dead* — halted, or crash-stopped by
     /// the [`Adversary`] — in the sending round or earlier. Round
@@ -602,8 +608,6 @@ struct DeliverArgs<'a> {
     next: &'a PlanePtr,
     /// Liveness per node id, with this round's halts already applied.
     alive: &'a [bool],
-    /// [`SimConfig::bit_budget`].
-    bit_budget: Option<usize>,
     /// The round being delivered, so adversary and scheduler coins can be
     /// keyed by `(round, from, to)` — pure functions, independent of
     /// delivery order and parallel chunking.
@@ -627,18 +631,20 @@ const BATCH: usize = 16;
 
 /// Messages the delivery kernel has decided on but not yet written, as
 /// (receive plane, cell, payload word). Each target is prefetched when
-/// queued and the batch is written after the sender's row (or when
-/// full), so the cache misses of one sender's messages overlap instead of
-/// stalling one after another. Writing also counts collisions. Its `mode`
-/// comes from the caller of `deliver_all`, under that function's safety
-/// contract.
-struct Batch<'p> {
+/// queued and the batch is written when full and once more at the end of
+/// the worker's share of the phase, so the cache misses of consecutive
+/// messages overlap instead of stalling one after another. The order of
+/// the writes does not matter: within one phase no (plane, cell) pair is
+/// written twice. Writing also counts collisions. Its `mode` comes from
+/// the caller of `deliver_all`, under that function's safety contract;
+/// `HOOKED` is the kernel's (see [`Engine::deliver_node`]).
+struct Batch<'p, const HOOKED: bool> {
     mode: BitSet,
     len: usize,
     entries: [(&'p PlanePtr, u32, u64); BATCH],
 }
 
-impl<'p> Batch<'p> {
+impl<'p, const HOOKED: bool> Batch<'p, HOOKED> {
     fn new(plane: &'p PlanePtr, mode: BitSet) -> Self {
         Batch {
             mode,
@@ -662,9 +668,10 @@ impl<'p> Batch<'p> {
     /// Writes every queued message into its receive-plane cell and sets
     /// its occupancy bit, counting a collision — two in-flight messages of
     /// one directed edge converging on the same arrival round, where the
-    /// later-sent one wins — as a lost message. Collisions cannot occur in
-    /// synchronous (zero-delay) mode: every edge delivers at most one
-    /// message per phase and the plane is cleared every round.
+    /// later-sent one wins — as a lost message. Collisions need a delay or
+    /// a duplicate, so only a `HOOKED` kernel can meet one: without hooks
+    /// every edge delivers at most one message per phase into the one
+    /// plane, which is cleared every round.
     #[inline]
     fn flush(&mut self, tally: &mut Tally) {
         for &(plane, cell, word) in &self.entries[..self.len] {
@@ -683,20 +690,22 @@ impl<'p> Batch<'p> {
             // (`deliver_all`'s contract), `Atomic` whenever workers share
             // it (the word covers up to 64 slots, each fed by a different
             // sender).
-            if unsafe { plane.set_bit(cell, self.mode) } {
-                tally.dropped_messages += 1;
+            let collided = unsafe { plane.set_bit(cell, self.mode) };
+            if HOOKED {
+                tally.dropped_messages += u64::from(collided);
+            } else {
+                debug_assert!(!collided, "synchronous delivery collided at cell {cell}");
             }
         }
         self.len = 0;
     }
 }
 
-/// Per-worker statistics accumulator for the delivery phase.
+/// Per-worker statistics accumulator for the delivery phase: what became
+/// of the messages in flight. What they cost to send was metered when
+/// they were sent (see [`Context`]).
 #[derive(Clone, Copy, Default)]
 struct Tally {
-    total_messages: u64,
-    max_message_bits: usize,
-    budget_violations: u64,
     dropped_messages: u64,
     adversary_dropped_messages: u64,
     delayed_messages: u64,
@@ -708,13 +717,10 @@ struct Tally {
 }
 
 impl Tally {
-    /// Sums and a max: commutative and associative, so however a phase is
-    /// split between workers, their merged tallies are the sequential one.
+    /// Sums: commutative and associative, so however a phase is split
+    /// between workers, their merged tallies are the sequential one.
     fn merge(self, other: Tally) -> Tally {
         Tally {
-            total_messages: self.total_messages + other.total_messages,
-            max_message_bits: self.max_message_bits.max(other.max_message_bits),
-            budget_violations: self.budget_violations + other.budget_violations,
             dropped_messages: self.dropped_messages + other.dropped_messages,
             adversary_dropped_messages: self.adversary_dropped_messages
                 + other.adversary_dropped_messages,
@@ -727,9 +733,6 @@ impl Tally {
 
     /// Adds one phase's tally to the run's statistics.
     fn add_to(self, stats: &mut RunStats) {
-        stats.total_messages += self.total_messages;
-        stats.max_message_bits = stats.max_message_bits.max(self.max_message_bits);
-        stats.budget_violations += self.budget_violations;
         stats.dropped_messages += self.dropped_messages;
         stats.adversary_dropped_messages += self.adversary_dropped_messages;
         stats.delayed_messages += self.delayed_messages;
@@ -937,48 +940,63 @@ impl<'g, P: Protocol> Engine<'g, P> {
 
     /// Compute phase over the active ids `ids`, whose state rows are
     /// `rows` from node `base`'s on: a whole phase (`base` 0), or one
-    /// shard's run of it.
+    /// shard's run of it. Every send is charged to `meter`.
     fn step_all(
         ids: &[u32],
         rows: &mut [NodeState<P>],
         base: usize,
         round: usize,
         layout: &Layout<'g>,
+        meter: &mut Meter,
     ) {
         for &v in ids {
-            Self::step(&mut rows[v as usize - base], v, round, layout);
+            Self::step(&mut rows[v as usize - base], v, round, layout, meter);
         }
     }
 
     /// Compute phase of `round`: on the calling thread, or one scoped
     /// thread per shard with active ids, stepping the shard's run of
     /// `ids` against its own state rows `rows[range]`, taken with
-    /// `split_at_mut`.
+    /// `split_at_mut`. Returns the phase's send meter, one per worker
+    /// merged.
     fn compute(
         ids: &[u32],
         rows: &mut [NodeState<P>],
         round: usize,
         layout: &Layout<'g>,
         partition: &ShardPartition,
-    ) {
+        bit_budget: Option<usize>,
+    ) -> Meter {
+        let mut meter = Meter::new(bit_budget);
         if runs_inline(ids.len(), partition.shards()) {
-            return Self::step_all(ids, rows, 0, round, layout);
+            Self::step_all(ids, rows, 0, round, layout, &mut meter);
+            return meter;
         }
         std::thread::scope(|scope| {
             let mut rest = rows;
-            for (ids, shard) in shard_runs(ids, partition) {
-                let (rows, tail) = std::mem::take(&mut rest).split_at_mut(shard.len());
-                rest = tail;
-                if !ids.is_empty() {
-                    scope.spawn(move || Self::step_all(ids, rows, shard.start, round, layout));
-                }
-            }
-        });
+            let workers: Vec<_> = shard_runs(ids, partition)
+                .filter_map(|(ids, shard)| {
+                    let (rows, tail) = std::mem::take(&mut rest).split_at_mut(shard.len());
+                    rest = tail;
+                    (!ids.is_empty()).then(|| {
+                        scope.spawn(move || {
+                            let mut meter = Meter::new(bit_budget);
+                            Self::step_all(ids, rows, shard.start, round, layout, &mut meter);
+                            meter
+                        })
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .fold(meter, Meter::merge)
+        })
     }
 
     /// Untraced delivery phase: on the calling thread, or one scoped
     /// thread per shard with senders, whose tallies merge at the end.
-    fn deliver(
+    fn deliver<const HOOKED: bool>(
         ids: &[u32],
         layout: &Layout<'g>,
         args: &DeliverArgs<'_>,
@@ -988,7 +1006,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
         if runs_inline(ids.len(), partition.shards()) {
             // SAFETY: no worker is spawned; this thread delivers the
             // whole phase.
-            return unsafe { Self::deliver_all(runs, layout, args, BitSet::Plain, |_, _, _| {}) };
+            return unsafe {
+                Self::deliver_all::<HOOKED>(runs, layout, args, BitSet::Plain, |_, _, _| {})
+            };
         }
         std::thread::scope(|scope| {
             let workers: Vec<_> = runs
@@ -997,7 +1017,13 @@ impl<'g, P: Protocol> Engine<'g, P> {
                     // SAFETY: atomic bit sets, as several workers deliver
                     // this phase.
                     scope.spawn(move || unsafe {
-                        Self::deliver_all([run], layout, args, BitSet::Atomic, |_, _, _| {})
+                        Self::deliver_all::<HOOKED>(
+                            [run],
+                            layout,
+                            args,
+                            BitSet::Atomic,
+                            |_, _, _| {},
+                        )
                     })
                 })
                 .collect();
@@ -1012,36 +1038,37 @@ impl<'g, P: Protocol> Engine<'g, P> {
     /// list and the slot range of the shard it belongs to — by one
     /// worker: the sole entry to the delivery kernel. A message to a
     /// receiver outside its sender's shard counts in [`Tally::crossed`].
-    /// `on_message(from, to, bits)` runs once per message before its drop
-    /// decision — the trace hook; the untraced paths pass a no-op closure
-    /// that monomorphizes away.
+    /// `on_message(from, to, word)` runs once per message before its drop
+    /// decision, in a `HOOKED` kernel only — the trace hook; the untraced
+    /// paths pass a no-op closure that monomorphizes away.
     ///
     /// # Safety
     /// With `mode` = [`BitSet::Plain`], no other thread may deliver into
     /// the planes while this call runs: the caller delivers the whole
     /// phase. [`BitSet::Atomic`] is sound under any concurrency.
-    unsafe fn deliver_all<'a, 'p>(
+    unsafe fn deliver_all<'a, 'p, const HOOKED: bool>(
         runs: impl IntoIterator<Item = (&'a [u32], Range<usize>)>,
         layout: &'p Layout<'g>,
         args: &DeliverArgs<'p>,
         mode: BitSet,
-        mut on_message: impl FnMut(NodeId, NodeId, usize),
+        mut on_message: impl FnMut(NodeId, NodeId, u64),
     ) -> Tally {
         let mut tally = Tally::default();
         let mut batch = Batch::new(args.next, mode);
         for (ids, shard) in runs {
-            let (lo, len) = (shard.start as u32, shard.len() as u32);
-            let mut crossed = 0;
-            let mut hook = |from, to: NodeId, bits| {
-                // One unsigned compare: ids below `lo` wrap past `len`.
-                crossed += u64::from(to.0.wrapping_sub(lo) >= len);
-                on_message(from, to, bits);
-            };
             for &v in ids {
-                Self::deliver_node(v, layout, args, &mut batch, &mut tally, &mut hook);
+                Self::deliver_node::<HOOKED>(
+                    v,
+                    &shard,
+                    layout,
+                    args,
+                    &mut batch,
+                    &mut tally,
+                    &mut on_message,
+                );
             }
-            tally.crossed += crossed;
         }
+        batch.flush(&mut tally);
         tally
     }
 
@@ -1100,15 +1127,15 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let plane_len = graph.row_offsets()[n] as usize;
         // Dense word storage: one allocation per plane, 8 payload bytes
         // per directed edge followed by the occupancy bitmap (see
-        // [`plane_bytes_for`]), zeroed in one memset — no per-cell
+        // [`plane_bytes_for`]), zeroed on allocation — no per-cell
         // `Option` initialization. A receive bitmap has one bit per
         // directed slot. Separate bitmap vectors are mid-sized heap
         // allocations whose placement depends on the graph's size; with
         // glibc malloc at n = 1M they raised peak RSS by up to 35 MB on
         // some seeds.
-        let mut send = vec![0u64; plane_len + send_occ_len as usize];
+        let mut send = plane_buffer(plane_len + send_occ_len as usize);
         let mut recv: Vec<Vec<u64>> = (0..ring_len)
-            .map(|_| vec![0u64; plane_len + plane_len.div_ceil(64)])
+            .map(|_| plane_buffer(plane_len + plane_len.div_ceil(64)))
             .collect();
         let layout = Layout {
             graph,
@@ -1121,6 +1148,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 .collect(),
         };
         let reorder = adversary.filter(|a| a.reorder_prob > 0.0);
+        let budget = config.bit_budget;
         let mut run = RunState {
             rows: self
                 .nodes
@@ -1149,7 +1177,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let mut restart_queue: VecDeque<(usize, u32)> = VecDeque::new();
 
         // Round 0: init (no inboxes yet, halting is not possible).
-        Self::compute(&run.ids, &mut run.rows, 0, &layout, partition);
+        Self::compute(&run.ids, &mut run.rows, 0, &layout, partition, budget)
+            .add_to(&mut run.stats);
         run.delivery_phase(&config, &layout, edge_down.as_deref(), 0, partition);
 
         // Between rounds the active list holds exactly the live nodes.
@@ -1239,7 +1268,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
             if let Some(adv) = reorder {
                 Self::reorder_inboxes(&run.ids, &run.rows, round, &layout, adv);
             }
-            Self::compute(&run.ids, &mut run.rows, round, &layout, partition);
+            Self::compute(&run.ids, &mut run.rows, round, &layout, partition, budget)
+                .add_to(&mut run.stats);
             run.delivery_phase(&config, &layout, edge_down.as_deref(), round, partition);
         }
 
@@ -1259,8 +1289,14 @@ impl<'g, P: Protocol> Engine<'g, P> {
     /// and stash any halt decision in [`NodeState::pending_halt`]. Touches
     /// nothing outside `state` and the node's two plane rows, and only
     /// reads the receive row; the round loop clears the consumed receive
-    /// bitmap before delivery.
-    fn step(state: &mut NodeState<P>, v: u32, round: usize, layout: &Layout<'g>) {
+    /// bitmap before delivery. Its sends are charged to `meter`.
+    fn step(
+        state: &mut NodeState<P>,
+        v: u32,
+        round: usize,
+        layout: &Layout<'g>,
+        meter: &mut Meter,
+    ) {
         if !state.active {
             return;
         }
@@ -1292,6 +1328,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
             round,
             out_words: send_words,
             out_occ: send_occ,
+            meter,
             _msg: std::marker::PhantomData,
         };
         if round == 0 || state.needs_init {
@@ -1348,19 +1385,27 @@ impl<'g, P: Protocol> Engine<'g, P> {
         }
     }
 
-    /// The delivery kernel, for sender `v`: drain its send-plane row,
-    /// deciding each message's fate (statistics, `on_message`, churn,
-    /// liveness, fault coins, delay) and queueing survivors into `batch`
-    /// at the mirror of their slot, then write the batch out. Everything
-    /// it reads about the sender comes from the graph by id.
+    /// The delivery kernel, for sender `v` of shard `shard`: drain its
+    /// send-plane row, deciding each message's fate and queueing
+    /// survivors into `batch` at the mirror of their slot. Everything it
+    /// reads about the sender comes from the graph by id.
+    ///
+    /// `HOOKED` says whether any per-message hook is live — the trace
+    /// (`on_message`), churn link state, the adversary's delivery coins or
+    /// the scheduler's delays — and is chosen once per phase. Without
+    /// hooks a message costs the receiver lookup, its liveness, its shard
+    /// compare, the mirror cell, the prefetch, the word write and the bit
+    /// set. Sizes are not read here: the sender's [`Context`] metered each
+    /// message when it was sent.
     #[inline]
-    fn deliver_node<'p>(
+    fn deliver_node<'p, const HOOKED: bool>(
         v: u32,
+        shard: &Range<usize>,
         layout: &'p Layout<'g>,
         args: &DeliverArgs<'p>,
-        batch: &mut Batch<'p>,
+        batch: &mut Batch<'p, HOOKED>,
         tally: &mut Tally,
-        on_message: &mut impl FnMut(NodeId, NodeId, usize),
+        on_message: &mut impl FnMut(NodeId, NodeId, u64),
     ) {
         let (graph, id) = (layout.graph, NodeId(v));
         let (start, degree) = layout.row(v as usize);
@@ -1368,6 +1413,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let occ_words = degree.div_ceil(64);
         let neighbor_ids = graph.neighbor_ids(id);
         let mirror = &graph.mirror()[start..start + degree];
+        let (lo, len) = (shard.start as u32, shard.len() as u32);
         // SAFETY: row disjointness, as in `step` — each sender is drained
         // by exactly one worker, and delivery only *reads* other nodes'
         // payload rows through unique directed-edge cells.
@@ -1384,33 +1430,30 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 let port = w * 64 + pending.trailing_zeros() as usize;
                 pending &= pending - 1;
                 let mut word = send_words[port];
-                // Unpacking costs a few shifts and is needed anyway: the
-                // budget meter charges the message's *information* bits
-                // (`bit_size`), not its 64-bit frame.
-                let msg = <P::Msg as PackedMsg>::unpack(word);
-                let bits = msg.bit_size();
-                tally.total_messages += 1;
-                tally.max_message_bits = tally.max_message_bits.max(bits);
-                if let Some(budget) = args.bit_budget {
-                    if bits > budget {
-                        tally.budget_violations += 1;
-                    }
-                }
                 let to = neighbor_ids[port];
-                on_message(id, to, bits);
-                if let Some(down) = args.edge_down {
-                    // Churn link state: a down edge eats the message
-                    // before receiver liveness is even observable. The
-                    // bit is keyed by undirected edge id, so both
-                    // directions fail together.
-                    let e = graph.neighbor_edges(id)[port].index();
-                    if down[e / 64] >> (e % 64) & 1 == 1 {
-                        tally.adversary_dropped_messages += 1;
-                        continue;
+                // One unsigned compare: ids below `lo` wrap past `len`.
+                tally.crossed += u64::from(to.0.wrapping_sub(lo) >= len);
+                if HOOKED {
+                    on_message(id, to, word);
+                    if let Some(down) = args.edge_down {
+                        // Churn link state: a down edge eats the message
+                        // before receiver liveness is even observable.
+                        // The bit is keyed by undirected edge id, so both
+                        // directions fail together.
+                        let e = graph.neighbor_edges(id)[port].index();
+                        if down[e / 64] >> (e % 64) & 1 == 1 {
+                            tally.adversary_dropped_messages += 1;
+                            continue;
+                        }
                     }
                 }
                 if !args.alive[to.index()] {
                     tally.dropped_messages += 1;
+                    continue;
+                }
+                let cell = mirror[port];
+                if !HOOKED {
+                    batch.push(args.next, cell, word, tally);
                     continue;
                 }
                 if let Some(adv) = args.adversary {
@@ -1426,13 +1469,14 @@ impl<'g, P: Protocol> Engine<'g, P> {
                         tally.corrupted_messages += 1;
                         // The payload type decides whether corruption
                         // surfaces as a mutated value or as a checksum
-                        // discard; the budget metered what the sender
-                        // transmitted, before the garbling. Garbling
-                        // happens on the *unpacked* message — bit-flip
-                        // semantics are the type's, not the frame's — and
-                        // the survivor is repacked for the wire.
+                        // discard; the sender's meter already charged
+                        // what it transmitted, before the garbling.
+                        // Garbling happens on the *unpacked* message —
+                        // bit-flip semantics are the type's, not the
+                        // frame's — and the survivor is repacked for the
+                        // wire.
                         let entropy = adv.corruption_entropy(args.round, id, to);
-                        match msg.corrupted(entropy) {
+                        match <P::Msg as PackedMsg>::unpack(word).corrupted(entropy) {
                             Some(garbled) => word = garbled.pack(),
                             None => continue,
                         }
@@ -1450,7 +1494,6 @@ impl<'g, P: Protocol> Engine<'g, P> {
                     }
                     None => 0,
                 };
-                let cell = mirror[port];
                 if args
                     .adversary
                     .is_some_and(|adv| adv.duplicates_message(args.round, id, to))
@@ -1472,7 +1515,6 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 batch.push(plane, cell, word, tally);
             }
         }
-        batch.flush(tally);
     }
 }
 
@@ -1570,30 +1612,33 @@ impl<'g, P: Protocol> RunState<'g, P> {
         let args = DeliverArgs {
             next: layout.recv_for(round + 1),
             alive: &self.alive,
-            bit_budget: config.bit_budget,
             round,
             adversary: config.adversary.filter(Adversary::affects_delivery),
             scheduler: config.scheduler.filter(|s| s.max_delay() > 0),
             edge_down,
         };
+        let hooked = args.adversary.is_some() || args.scheduler.is_some() || edge_down.is_some();
         let tally = if config.record_traces {
             // Tracing pins delivery to ascending node-id order — the
             // list's own order — and stays sequential: the documented
-            // small-graph path.
+            // small-graph path. A trace's size is the one the sender was
+            // metered for, since `unpack(pack(m)) == m`.
             let (runs, traces) = (shard_runs(&self.ids, partition), &mut self.traces);
+            let trace = |from, to, word| {
+                let bits = <P::Msg as PackedMsg>::unpack(word).bit_size();
+                traces.push(MessageTrace {
+                    round,
+                    from,
+                    to,
+                    bits,
+                });
+            };
             // SAFETY: this thread delivers the whole phase.
-            unsafe {
-                Engine::<P>::deliver_all(runs, layout, &args, BitSet::Plain, |from, to, bits| {
-                    traces.push(MessageTrace {
-                        round,
-                        from,
-                        to,
-                        bits,
-                    });
-                })
-            }
+            unsafe { Engine::<P>::deliver_all::<true>(runs, layout, &args, BitSet::Plain, trace) }
+        } else if hooked {
+            Engine::<P>::deliver::<true>(&self.ids, layout, &args, partition)
         } else {
-            Engine::<P>::deliver(&self.ids, layout, &args, partition)
+            Engine::<P>::deliver::<false>(&self.ids, layout, &args, partition)
         };
         self.crossed += tally.crossed;
         tally.add_to(&mut self.stats);
@@ -1633,6 +1678,59 @@ pub fn run_protocol<'g, P: Protocol>(
     seed: u64,
 ) -> RunOutcome<P::Output> {
     Engine::build(graph, config, factory).run(seed)
+}
+
+/// One zeroed plane buffer of `len` words, advised onto huge pages before
+/// the run touches it: a zeroed allocation of a plane's size normally
+/// comes straight from the kernel as an untouched mapping, so the advice
+/// precedes its first page fault.
+fn plane_buffer(len: usize) -> Vec<u64> {
+    let mut buf = vec![0u64; len];
+    advise_huge_pages(&mut buf);
+    buf
+}
+
+/// The base page size [`advise_huge_pages`] rounds to.
+const PAGE_BYTES: usize = 4096;
+
+/// The smallest buffer [`advise_huge_pages`] advises: one transparent huge
+/// page.
+const HUGE_PAGE_BYTES: usize = 2 << 20;
+
+/// The whole pages inside the `bytes` bytes at `addr`, as (start, length):
+/// what [`advise_huge_pages`] advises. `None` for a buffer under
+/// [`HUGE_PAGE_BYTES`].
+fn huge_page_span(addr: usize, bytes: usize) -> Option<(usize, usize)> {
+    if bytes < HUGE_PAGE_BYTES {
+        return None;
+    }
+    let start = addr.next_multiple_of(PAGE_BYTES);
+    let end = (addr + bytes) / PAGE_BYTES * PAGE_BYTES;
+    Some((start, end - start))
+}
+
+/// Asks the kernel to back `buf` with transparent huge pages
+/// (`madvise(MADV_HUGEPAGE)`), where the host leaves that to the
+/// program. Delivery scatters at random over whole planes, and on 4 KiB
+/// pages most of those writes miss the TLB as well as the caches. Only
+/// the whole pages inside `buf` are advised. The advice is a hint: it
+/// never changes the contents, a refusal is ignored, and it is a no-op
+/// off Linux.
+fn advise_huge_pages(buf: &mut [u64]) {
+    #[cfg(target_os = "linux")]
+    if let Some((start, len)) = huge_page_span(buf.as_mut_ptr() as usize, size_of_val(buf)) {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        }
+        const MADV_HUGEPAGE: c_int = 14;
+        // SAFETY: `start..start + len` lies inside `buf`, which this
+        // function borrows exclusively, and `MADV_HUGEPAGE` only changes
+        // how the kernel backs those pages, never their contents.
+        let _ = unsafe { madvise(start as *mut c_void, len, MADV_HUGEPAGE) };
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = buf;
 }
 
 /// Bytes the engine's message planes occupy for a run over `graph`, with
@@ -1957,6 +2055,99 @@ mod tests {
         let outcome = run_protocol(&g, SimConfig::local(), |_| PortEcho, 0);
         assert!(outcome.completed);
         assert_eq!(outcome.stats.total_messages, 512 * 511);
+    }
+
+    /// Sends through all three send calls, on a gadget `a–b–c` plus an
+    /// isolated `d` (ids `4i..4i + 4`). Init: a filter that selects no
+    /// port, with a 64-bit message, then a 2-bit broadcast (the isolated
+    /// node's writes no port). Round 1: `a` sends 10 bits to `b` and
+    /// halts; `b` sends 3 bits to `a` and a filtered 9 bits to `c`; `c`
+    /// broadcasts 3 bits to `b` and halts; `d` broadcasts a 21-bit and a
+    /// 64-bit message to no one and halts. Round 2: `b` halts.
+    struct MeterProbe;
+    impl Protocol for MeterProbe {
+        type Msg = u64;
+        type Output = ();
+        fn init(&mut self, ctx: &mut Context<'_, u64>) {
+            ctx.broadcast_filtered(u64::MAX, |_| false);
+            ctx.broadcast(3);
+        }
+        fn round(&mut self, ctx: &mut Context<'_, u64>, _inbox: Inbox<'_, u64>) -> Status<()> {
+            match (ctx.round(), ctx.id().0 % 4) {
+                (1, 0) => ctx.send(0, 1 << 9),
+                (1, 1) => {
+                    ctx.send(0, 5);
+                    ctx.broadcast_filtered(300, |p| p == 1);
+                    return Status::Active;
+                }
+                (1, 2) => ctx.broadcast(7),
+                (1, _) => {
+                    ctx.broadcast(1 << 20);
+                    ctx.broadcast_filtered(u64::MAX, |_| true);
+                }
+                _ => {}
+            }
+            Status::Halt(())
+        }
+    }
+
+    /// The send-time meter is exact on every executor, traced or not, with
+    /// 1,100 gadgets: rounds 0 and 1 have 4,400 active ids, enough for
+    /// three workers to step and deliver them. Per gadget: 4 + 4 messages,
+    /// the largest 10 bits, 2 over the 8-bit budget (one of them to a
+    /// receiver halting in its sending round), and 2 dropped at receivers
+    /// halting in the sending round. A filter that selects no port and a
+    /// degree-0 broadcast charge nothing, not even their size.
+    #[test]
+    fn moved_meter_counts_exactly_on_every_executor() {
+        use congest_graph::{GraphBuilder, ShardPartition};
+        let k = 1100u32;
+        let mut b = GraphBuilder::with_nodes(4 * k as usize);
+        for i in 0..k {
+            b.add_edge(NodeId(4 * i), NodeId(4 * i + 1));
+            b.add_edge(NodeId(4 * i + 1), NodeId(4 * i + 2));
+        }
+        let g = b.build();
+        let untraced = SimConfig {
+            bit_budget: Some(8),
+            ..SimConfig::local()
+        };
+        let k = u64::from(k);
+        let p = ShardPartition::contiguous(g.num_nodes(), 3);
+        for config in [untraced.clone(), untraced.with_traces()] {
+            let runs = [
+                Engine::build(&g, config.clone(), |_| MeterProbe).run(1),
+                Engine::build(&g, config.clone(), |_| MeterProbe).run_parallel_with(1, 3),
+                Engine::build(&g, config.clone(), |_| MeterProbe)
+                    .run_sharded(1, &p)
+                    .outcome,
+            ];
+            for out in runs {
+                let s = &out.stats;
+                assert!(out.completed);
+                assert_eq!(s.rounds, 2);
+                assert_eq!(s.total_messages, 8 * k);
+                assert_eq!(s.max_message_bits, 10);
+                assert_eq!(s.budget_violations, 2 * k);
+                assert_eq!(s.dropped_messages, 2 * k);
+                if !config.record_traces {
+                    assert!(out.traces.is_empty());
+                    continue;
+                }
+                assert_eq!(out.traces.len() as u64, s.total_messages);
+                for t in &out.traces {
+                    let sent: u64 = match (t.round, t.from.0 % 4, t.to.0 % 4) {
+                        (0, ..) => 3,
+                        (1, 0, 1) => 1 << 9,
+                        (1, 1, 0) => 5,
+                        (1, 1, 2) => 300,
+                        (1, 2, 1) => 7,
+                        other => panic!("unexpected message {other:?}"),
+                    };
+                    assert_eq!(t.bits, sent.bit_size(), "{t:?}");
+                }
+            }
+        }
     }
 
     /// A protocol that never halts, to exercise the round cap.
@@ -2703,6 +2894,35 @@ mod tests {
             plane_bytes_for(&generators::cycle(64), 1),
             (128 + 64 + 128 + 2) * 8
         );
+    }
+
+    /// The advice covers exactly the whole pages inside a buffer of at
+    /// least 2 MiB, and whatever slice it gets, the contents stay.
+    #[test]
+    fn huge_page_advice_rounds_inward_and_keeps_contents() {
+        const MB2: usize = HUGE_PAGE_BYTES;
+        assert_eq!(huge_page_span(4096, MB2 - 8), None);
+        assert_eq!(huge_page_span(16, MB2 - 1), None);
+        assert_eq!(huge_page_span(4096, MB2), Some((4096, MB2)));
+        // Unaligned at either end: both ends move inward.
+        assert_eq!(huge_page_span(4096 + 16, MB2), Some((8192, MB2 - 4096)));
+        assert_eq!(huge_page_span(16, MB2 + 8), Some((4096, MB2 - 4096)));
+        assert_eq!(huge_page_span(0, 3 * MB2 + 5), Some((0, 3 * MB2)));
+        let words = 3 * MB2 / 8;
+        let mut buf: Vec<u64> = (0..words as u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let copy = buf.clone();
+        for (skip, len) in [
+            (0, words),
+            (1, words - 1),
+            (3, MB2 / 8 + 5),
+            (511, MB2 / 8 - 1),
+            (7, 1001),
+        ] {
+            advise_huge_pages(&mut buf[skip..skip + len]);
+            assert!(buf == copy, "advice at {skip}+{len} changed the buffer");
+        }
     }
 
     #[test]

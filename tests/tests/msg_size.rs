@@ -17,7 +17,7 @@ const PLANE_WORD_BITS: u32 = 64;
 
 #[test]
 fn message_types_fit_the_plane_word() {
-    // crates/core/src/maxis/alg2.rs:67
+    // crates/core/src/maxis/alg2.rs:68
     assert!(
         <congest_approx::Alg2Msg as PackedMsg>::BITS <= PLANE_WORD_BITS,
         "Alg2Msg declares {} packed bits (plane word is {PLANE_WORD_BITS})",
