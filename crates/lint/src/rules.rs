@@ -173,6 +173,16 @@ const ENGINE_LOOP_FNS: &[&str] = &[
     "reboot",
     "relist",
     "delivery_phase",
+    "prefetch",
+    "prefetch_ahead",
+    "contains",
+    "insert",
+    "remove",
+    "ids",
+    "take_front",
+    "runs",
+    "count",
+    "shards_mut",
 ];
 
 /// Files (by trailing path component) treated as oracle/bound-check

@@ -35,7 +35,7 @@ pub struct SimConfig {
     /// Record every message as a [`MessageTrace`] (memory-hungry; meant
     /// for congestion analyses on small graphs). Tracing forces the
     /// delivery phase onto one thread, walking senders in ascending node-id
-    /// order — the order of the engine's active-id list — so trace order is
+    /// order — the order of the engine's sender list — so trace order is
     /// reproducible.
     pub record_traces: bool,
     /// Deterministic fault adversary (seeded message drops, duplication,
@@ -312,15 +312,15 @@ impl Globals {
 /// What one node owns during a run besides its plane rows: its protocol
 /// instance, private RNG, and halt latch. A run keeps one per node,
 /// indexed by id, and never moves them; its ascending list of active ids
-/// says which still step. Static info is read from the graph by id.
+/// says which still step, and its [`LiveSet`] which are alive. Static
+/// info is read from the graph by id.
 struct NodeState<P: Protocol> {
     proto: P,
     rng: SmallRng,
     /// Output produced this round, if the node chose to halt; applied to
-    /// the alive set only at the delivery phase so that drop decisions
+    /// the live set only at the delivery phase so that drop decisions
     /// cannot observe a half-updated round.
     pending_halt: Option<P::Output>,
-    active: bool,
     /// Set when the node reboots after a crash (restart mode) or a churn
     /// departure: its next compute phase runs `init` — with the current
     /// round number — instead of `round`, exactly like a node booting
@@ -508,23 +508,82 @@ impl PlanePtr {
 
     /// Hints the cache to fetch the payload word and occupancy word of
     /// cell `idx` ahead of [`write_word`](Self::write_word) and
-    /// [`set_bit`](Self::set_bit). A no-op off x86-64.
+    /// [`set_bit`](Self::set_bit). The addresses are computed with
+    /// `wrapping_add`, so no out-of-bounds pointer arithmetic happens.
     #[inline]
     fn prefetch(&self, idx: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: a prefetch is only a hint — it never faults and
-            // never changes memory, whatever the address — and the
-            // addresses are computed with `wrapping_add`, so no
-            // out-of-bounds pointer arithmetic happens either.
-            unsafe {
-                _mm_prefetch::<_MM_HINT_T0>(self.words.wrapping_add(idx).cast());
-                _mm_prefetch::<_MM_HINT_T0>(self.occ.wrapping_add(idx / 64).cast());
-            }
+        prefetch(self.words.wrapping_add(idx));
+        prefetch(self.occ.wrapping_add(idx / 64));
+    }
+}
+
+/// Hints the cache to fetch the line holding `*p`, for the round loop's
+/// look-ahead and the delivery batch. A no-op off x86-64.
+#[inline]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch is only a hint: it never faults and never
+        // changes memory, whatever the address, and dereferences nothing.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+/// How many places ahead in an id list the round loop prefetches: the
+/// offsets of the id [`PREFETCH_FAR`] places ahead, then the rows of the
+/// one [`PREFETCH_NEAR`] places ahead, whose offsets arrived meanwhile.
+const PREFETCH_FAR: usize = 16;
+/// See [`PREFETCH_FAR`].
+const PREFETCH_NEAR: usize = 8;
+
+/// Liveness per node id, one bit each: set while the node has neither
+/// halted nor departed. Delivery drops every message to a node whose bit
+/// is clear, and the round loop steps only live ids. At 1M nodes it is
+/// 125 kB, against 1 MB for a byte per node, so the kernel's random test
+/// of the receiver stays in cache. Bits past the last id are never set.
+struct LiveSet(Vec<u64>);
+
+impl LiveSet {
+    /// Every id of `0..n` live.
+    fn full(n: usize) -> Self {
+        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            *last >>= (64 - n % 64) % 64;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = idx;
+        LiveSet(words)
+    }
+
+    #[inline]
+    fn contains(&self, v: usize) -> bool {
+        self.0[v / 64] >> (v % 64) & 1 == 1
+    }
+
+    #[inline]
+    fn insert(&mut self, v: usize) {
+        self.0[v / 64] |= 1 << (v % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, v: usize) {
+        self.0[v / 64] &= !(1 << (v % 64));
+    }
+
+    /// The live ids, ascending.
+    fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                Some(64 * w as u32 + bit)
+            })
+        })
     }
 }
 
@@ -579,6 +638,32 @@ impl Layout<'_> {
         (start, offsets[v + 1] as usize - start)
     }
 
+    /// Prefetches what a phase reads about the ids ahead of position `i`
+    /// of `ids`: the CSR and send-occupancy offsets of the id
+    /// [`PREFETCH_FAR`] places ahead and, of the id [`PREFETCH_NEAR`]
+    /// places ahead, the send row with its occupancy word, the neighbour
+    /// row, and either its row of the receive plane `recv` (the compute
+    /// phase) or, with `recv` = `None`, its mirror row (delivery).
+    #[inline]
+    fn prefetch_ahead(&self, ids: &[u32], i: usize, recv: Option<&PlanePtr>) {
+        if let Some(&far) = ids.get(i + PREFETCH_FAR) {
+            prefetch(&self.graph.row_offsets()[far as usize]);
+            prefetch(&self.occ_start[far as usize]);
+        }
+        let Some(&near) = ids.get(i + PREFETCH_NEAR) else {
+            return;
+        };
+        let (start, _) = self.row(near as usize);
+        let occ_start = self.occ_start[near as usize] as usize;
+        prefetch(self.send.words.wrapping_add(start));
+        prefetch(self.send.occ.wrapping_add(occ_start));
+        prefetch(self.graph.neighbor_ids(NodeId(near)).as_ptr());
+        match recv {
+            Some(plane) => plane.prefetch(start),
+            None => prefetch(self.graph.mirror().as_ptr().wrapping_add(start)),
+        }
+    }
+
     /// The receive plane messages arriving in `arrival_round` land in.
     #[inline]
     fn recv_for(&self, arrival_round: usize) -> &PlanePtr {
@@ -607,7 +692,7 @@ struct DeliverArgs<'a> {
     /// round: every undelayed original lands there.
     next: &'a PlanePtr,
     /// Liveness per node id, with this round's halts already applied.
-    alive: &'a [bool],
+    live: &'a LiveSet,
     /// The round being delivered, so adversary and scheduler coins can be
     /// keyed by `(round, from, to)` — pure functions, independent of
     /// delivery order and parallel chunking.
@@ -741,10 +826,11 @@ impl Tally {
     }
 }
 
-/// Minimum active ids *per shard* for a phase to run on one scoped
-/// thread per shard; below it (and always on one shard) the calling
-/// thread runs the phase, since spawning workers for a nearly-drained
-/// (or small) round costs more than the round.
+/// Minimum ids *per shard* — active ids in a compute phase, senders in a
+/// delivery phase — for a phase to run on one scoped thread per shard;
+/// below it (and always on one shard) the calling thread runs the phase,
+/// since spawning workers for a nearly-drained (or small) round costs
+/// more than the round.
 const PAR_MIN_SLOTS_PER_WORKER: usize = 1024;
 
 /// Whether a phase over `active` ids of a run on `shards` shards runs on
@@ -769,6 +855,88 @@ fn shard_runs<'a>(
     })
 }
 
+/// Splits `len` items off the front of `rest`: how a phase hands each
+/// shard its own slice of a buffer indexed by id.
+fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (front, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    front
+}
+
+/// Ids that one compute phase recorded, per shard, in ascending order:
+/// `n` slots cut at the shard boundaries like the state rows, then one
+/// count per shard. The worker that steps shard `s` fills the shard's
+/// slots from their start and says how many in count `s`. The counts
+/// share the slots' allocation: as a block of their own, reused run after
+/// run, they split the free heap space that the next run's protocol
+/// instances would take, and raised `luby-1m`'s peak RSS by 24 MB.
+struct ShardIds(Vec<u32>);
+
+impl ShardIds {
+    fn new(n: usize, shards: usize) -> Self {
+        ShardIds(vec![0; n + shards])
+    }
+
+    /// Each shard's recorded ids with its slot range, in shard order.
+    fn runs<'a>(
+        &'a self,
+        partition: &'a ShardPartition,
+    ) -> impl Iterator<Item = (&'a [u32], Range<usize>)> + 'a {
+        let (slots, counts) = self.0.split_at(partition.num_slots());
+        counts.iter().enumerate().map(|(s, &count)| {
+            let shard = partition.range(s);
+            (&slots[shard.start..shard.start + count as usize], shard)
+        })
+    }
+
+    /// How many ids are recorded.
+    fn count(&self, partition: &ShardPartition) -> usize {
+        let counts = &self.0[partition.num_slots()..];
+        counts.iter().map(|&count| count as usize).sum()
+    }
+
+    /// Each shard's slots and count, in shard order, emptied.
+    fn shards_mut<'a>(
+        &'a mut self,
+        partition: &'a ShardPartition,
+    ) -> impl Iterator<Item = ShardSlots<'a>> + 'a {
+        let (mut slots, counts) = self.0.split_at_mut(partition.num_slots());
+        counts.iter_mut().enumerate().map(move |(s, count)| {
+            *count = 0;
+            ShardSlots {
+                slots: take_front(&mut slots, partition.range(s).len()),
+                count,
+            }
+        })
+    }
+}
+
+/// One shard's slots of a [`ShardIds`] and their count, being filled.
+struct ShardSlots<'a> {
+    slots: &'a mut [u32],
+    count: &'a mut u32,
+}
+
+impl ShardSlots<'_> {
+    /// Records `v`, which is larger than every id recorded before it.
+    #[inline]
+    fn push(&mut self, v: u32) {
+        self.slots[*self.count as usize] = v;
+        *self.count += 1;
+    }
+}
+
+/// One shard's share of a compute phase: its run of the active list, its
+/// state rows (from node `base`'s on), and its slots of the run's sender
+/// and halter lists.
+struct ShardWork<'a, P: Protocol> {
+    ids: &'a [u32],
+    base: usize,
+    rows: &'a mut [NodeState<P>],
+    senders: ShardSlots<'a>,
+    halters: ShardSlots<'a>,
+}
+
 /// Runs one [`Protocol`] instance per node of a graph.
 ///
 /// Build with [`Engine::build`], execute with [`Engine::run`] (or
@@ -780,12 +948,18 @@ fn shard_runs<'a>(
 ///
 /// All three are one round loop over a [`ShardPartition`] of the slot
 /// space: `run` is one shard, `run_parallel` one equal contiguous shard
-/// per worker, and `run_sharded` the caller's partition. A phase with
-/// enough active ids per shard runs on one scoped thread per shard, each
-/// over its own run of the ascending active-id list and its own state
-/// rows; any other phase runs on the calling thread. Either way every
-/// message to a receiver outside its sender's shard is counted, by one
-/// range check, in [`ShardedRun::cross_shard_messages`].
+/// per worker, and `run_sharded` the caller's partition. A round's work
+/// follows what moved in it. The compute phase steps each shard's run of
+/// the ascending active-id list against the shard's own state rows, and
+/// records, in id order, the ids whose step sent a message and the ids
+/// that halted, into the shard's own slots of two lists. The halt pass
+/// then visits only the halters, and delivery drains only the senders'
+/// rows. A compute phase with enough active ids per shard, or a delivery
+/// phase with enough senders, runs on one scoped thread per shard; any
+/// other phase, and every traced one, runs on the calling thread. Both
+/// loops prefetch the rows of the id a few places ahead. Either way
+/// every message to a receiver outside its sender's shard is counted, by
+/// one range check, in [`ShardedRun::cross_shard_messages`].
 ///
 /// # Round semantics
 ///
@@ -796,15 +970,15 @@ fn shard_runs<'a>(
 ///    row and possibly deciding to halt. Nodes cannot observe each other
 ///    mid-round, so the execution order (including parallel execution)
 ///    cannot affect results.
-/// 2. **Deliver** — halts are applied, then every send-plane row is
-///    scattered into the receive plane: the message node `v` sent through
-///    the slot `i = row_offsets[v] + p` lands in cell `mirror[i]` (see
-///    [`Graph::mirror`]), i.e. in the receiver `u`'s own port-indexed
-///    inbox row, at the port that leads back to `v`. A message is dropped
-///    (counted in [`RunStats::dropped_messages`]) iff its receiver halted
-///    in the sending round or earlier. Distinct directed edges map to
-///    distinct cells, so delivery parallelizes without locks while staying
-///    bit-identical.
+/// 2. **Deliver** — halts are applied, then every sender's send-plane row
+///    is scattered into the receive plane: the message node `v` sent
+///    through the slot `i = row_offsets[v] + p` lands in cell `mirror[i]`
+///    (see [`Graph::mirror`]), i.e. in the receiver `u`'s own
+///    port-indexed inbox row, at the port that leads back to `v`. A
+///    message is dropped (counted in [`RunStats::dropped_messages`]) iff
+///    its receiver halted in the sending round or earlier. Distinct
+///    directed edges map to distinct cells, so delivery parallelizes
+///    without locks while staying bit-identical.
 ///
 /// # Memory discipline
 ///
@@ -816,12 +990,13 @@ fn shard_runs<'a>(
 /// is the documented small-graph exception, and a round on scoped
 /// threads allocates their handles).
 /// Per node, a run keeps only what changes while it runs — the protocol,
-/// its RNG, a halt latch and two flags, in one row indexed by id that
-/// never moves — plus a send-occupancy offset and an entry in an
-/// ascending list of active ids; a [`NodeInfo`] is built on the stack
-/// from the graph's CSR whenever the node steps. Every executor compacts
-/// the active list with a stable `retain` after each delivery phase, so
-/// late rounds iterate only live nodes.
+/// its RNG, a halt latch and a reboot flag, in one row indexed by id that
+/// never moves — plus a send-occupancy offset, an entry in an ascending
+/// list of active ids, a slot in each of the sender and halter lists, and
+/// one liveness bit; a [`NodeInfo`] is built on the stack from the
+/// graph's CSR whenever the node steps. Every executor compacts the
+/// active list with a stable `retain` after each delivery phase, so late
+/// rounds iterate only live nodes.
 pub struct Engine<'g, P: Protocol> {
     graph: &'g Graph,
     config: SimConfig,
@@ -938,72 +1113,50 @@ impl<'g, P: Protocol> Engine<'g, P> {
         }
     }
 
-    /// Compute phase over the active ids `ids`, whose state rows are
-    /// `rows` from node `base`'s on: a whole phase (`base` 0), or one
-    /// shard's run of it. Every send is charged to `meter`.
+    /// Compute phase over one shard's live ids, each stepped against its
+    /// state row and charged to `meter`, while the rows of the ids ahead
+    /// are prefetched. Records the ids whose step sent (the meter's count
+    /// moved) and those that halted, in order, in the shard's slots of
+    /// the sender and halter lists.
     fn step_all(
-        ids: &[u32],
-        rows: &mut [NodeState<P>],
-        base: usize,
+        mut work: ShardWork<'_, P>,
         round: usize,
         layout: &Layout<'g>,
+        live: &LiveSet,
         meter: &mut Meter,
     ) {
-        for &v in ids {
-            Self::step(&mut rows[v as usize - base], v, round, layout, meter);
+        let (ids, base) = (work.ids, work.base);
+        let recv = layout.recv_for(round);
+        for (i, &v) in ids.iter().enumerate() {
+            layout.prefetch_ahead(ids, i, Some(recv));
+            if let Some(&far) = ids.get(i + PREFETCH_FAR) {
+                prefetch(work.rows.as_ptr().wrapping_add(far as usize - base));
+            }
+            if !live.contains(v as usize) {
+                continue;
+            }
+            let state = &mut work.rows[v as usize - base];
+            let before = meter.messages;
+            Self::step(state, v, round, layout, meter);
+            if meter.messages != before {
+                work.senders.push(v);
+            }
+            if state.pending_halt.is_some() {
+                work.halters.push(v);
+            }
         }
-    }
-
-    /// Compute phase of `round`: on the calling thread, or one scoped
-    /// thread per shard with active ids, stepping the shard's run of
-    /// `ids` against its own state rows `rows[range]`, taken with
-    /// `split_at_mut`. Returns the phase's send meter, one per worker
-    /// merged.
-    fn compute(
-        ids: &[u32],
-        rows: &mut [NodeState<P>],
-        round: usize,
-        layout: &Layout<'g>,
-        partition: &ShardPartition,
-        bit_budget: Option<usize>,
-    ) -> Meter {
-        let mut meter = Meter::new(bit_budget);
-        if runs_inline(ids.len(), partition.shards()) {
-            Self::step_all(ids, rows, 0, round, layout, &mut meter);
-            return meter;
-        }
-        std::thread::scope(|scope| {
-            let mut rest = rows;
-            let workers: Vec<_> = shard_runs(ids, partition)
-                .filter_map(|(ids, shard)| {
-                    let (rows, tail) = std::mem::take(&mut rest).split_at_mut(shard.len());
-                    rest = tail;
-                    (!ids.is_empty()).then(|| {
-                        scope.spawn(move || {
-                            let mut meter = Meter::new(bit_budget);
-                            Self::step_all(ids, rows, shard.start, round, layout, &mut meter);
-                            meter
-                        })
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .fold(meter, Meter::merge)
-        })
     }
 
     /// Untraced delivery phase: on the calling thread, or one scoped
     /// thread per shard with senders, whose tallies merge at the end.
     fn deliver<const HOOKED: bool>(
-        ids: &[u32],
+        senders: &ShardIds,
         layout: &Layout<'g>,
         args: &DeliverArgs<'_>,
         partition: &ShardPartition,
     ) -> Tally {
-        let runs = shard_runs(ids, partition);
-        if runs_inline(ids.len(), partition.shards()) {
+        let runs = senders.runs(partition);
+        if runs_inline(senders.count(partition), partition.shards()) {
             // SAFETY: no worker is spawned; this thread delivers the
             // whole phase.
             return unsafe {
@@ -1034,10 +1187,11 @@ impl<'g, P: Protocol> Engine<'g, P> {
         })
     }
 
-    /// Delivery from the senders of `runs` — each a run of the active
-    /// list and the slot range of the shard it belongs to — by one
-    /// worker: the sole entry to the delivery kernel. A message to a
-    /// receiver outside its sender's shard counts in [`Tally::crossed`].
+    /// Delivery from the senders of `runs` — each one shard's senders and
+    /// the shard's slot range — by one worker, prefetching the rows of
+    /// the senders ahead: the sole entry to the delivery kernel. A
+    /// message to a receiver outside its sender's shard counts in
+    /// [`Tally::crossed`].
     /// `on_message(from, to, word)` runs once per message before its drop
     /// decision, in a `HOOKED` kernel only — the trace hook; the untraced
     /// paths pass a no-op closure that monomorphizes away.
@@ -1056,7 +1210,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let mut tally = Tally::default();
         let mut batch = Batch::new(args.next, mode);
         for (ids, shard) in runs {
-            for &v in ids {
+            for (i, &v) in ids.iter().enumerate() {
+                layout.prefetch_ahead(ids, i, None);
                 Self::deliver_node::<HOOKED>(
                     v,
                     &shard,
@@ -1158,12 +1313,13 @@ impl<'g, P: Protocol> Engine<'g, P> {
                     proto,
                     rng: node_rng(seed, NodeId(v as u32)),
                     pending_halt: None,
-                    active: true,
                     needs_init: false,
                 })
                 .collect(),
             ids: (0..n as u32).collect(),
-            alive: vec![true; n],
+            live: LiveSet::full(n),
+            senders: ShardIds::new(n, partition.shards()),
+            halters: ShardIds::new(n, partition.shards()),
             outputs: vec![None; n],
             stats: RunStats::default(),
             crossed: 0,
@@ -1177,8 +1333,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let mut restart_queue: VecDeque<(usize, u32)> = VecDeque::new();
 
         // Round 0: init (no inboxes yet, halting is not possible).
-        Self::compute(&run.ids, &mut run.rows, 0, &layout, partition, budget)
-            .add_to(&mut run.stats);
+        run.compute(0, &layout, partition, budget);
         run.delivery_phase(&config, &layout, edge_down.as_deref(), 0, partition);
 
         // Between rounds the active list holds exactly the live nodes.
@@ -1205,16 +1360,16 @@ impl<'g, P: Protocol> Engine<'g, P> {
             // by a coin pure in (round, id) — so the schedule cannot
             // depend on processing order or parallel splits. A crashed
             // node is inert from this round on: it neither computes nor
-            // sends, produces no output, and `alive` makes delivery drop
-            // everything addressed to it — until its restart round, if the
-            // adversary grants one. Without restarts its inbox is never
-            // read again, so it is left unwiped: stragglers already
-            // delivered stay delivered. (Rounds ≥ 1 only: every node is
-            // guaranteed its first `init`.)
+            // sends, produces no output, and its cleared liveness bit
+            // makes delivery drop everything addressed to it — until its
+            // restart round, if the adversary grants one. Without restarts
+            // its inbox is never read again, so it is left unwiped:
+            // stragglers already delivered stay delivered. (Rounds ≥ 1
+            // only: every node is guaranteed its first `init`.)
             if let Some(adv) = crash {
                 for i in 0..run.ids.len() {
                     let v = run.ids[i] as usize;
-                    if run.rows[v].active && adv.crashes(round, NodeId(v as u32)) {
+                    if run.live.contains(v) && adv.crashes(round, NodeId(v as u32)) {
                         run.depart(v, &layout, restart_after.is_some());
                         run.stats.crashed_nodes += 1;
                         if let Some(k) = restart_after {
@@ -1244,7 +1399,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 if leaves_on {
                     for i in 0..run.ids.len() {
                         let v = run.ids[i] as usize;
-                        if run.rows[v].active && adv.leaves(round, NodeId(v as u32)) {
+                        if run.live.contains(v) && adv.leaves(round, NodeId(v as u32)) {
                             run.depart(v, &layout, true);
                             departed[v] = true;
                             departed_count += 1;
@@ -1266,10 +1421,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 }
             }
             if let Some(adv) = reorder {
-                Self::reorder_inboxes(&run.ids, &run.rows, round, &layout, adv);
+                Self::reorder_inboxes(&run.ids, &run.rows, &run.live, round, &layout, adv);
             }
-            Self::compute(&run.ids, &mut run.rows, round, &layout, partition, budget)
-                .add_to(&mut run.stats);
+            run.compute(round, &layout, partition, budget);
             run.delivery_phase(&config, &layout, edge_down.as_deref(), round, partition);
         }
 
@@ -1297,9 +1451,6 @@ impl<'g, P: Protocol> Engine<'g, P> {
         layout: &Layout<'g>,
         meter: &mut Meter,
     ) {
-        if !state.active {
-            return;
-        }
         let info = layout.globals.info(layout.graph, NodeId(v));
         let (start, degree) = layout.row(v as usize);
         let occ_start = layout.occ_start[v as usize] as usize;
@@ -1357,6 +1508,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
     fn reorder_inboxes(
         ids: &[u32],
         rows: &[NodeState<P>],
+        live: &LiveSet,
         round: usize,
         layout: &Layout<'g>,
         adv: Adversary,
@@ -1365,7 +1517,11 @@ impl<'g, P: Protocol> Engine<'g, P> {
         for &v in ids {
             let (id, state) = (NodeId(v), &rows[v as usize]);
             let (start, degree) = layout.row(v as usize);
-            if !state.active || state.needs_init || degree <= 1 || !adv.reorders_inbox(round, id) {
+            if !live.contains(v as usize)
+                || state.needs_init
+                || degree <= 1
+                || !adv.reorders_inbox(round, id)
+            {
                 continue;
             }
             // SAFETY: sequential section of the round loop — no worker
@@ -1447,7 +1603,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                         }
                     }
                 }
-                if !args.alive[to.index()] {
+                if !args.live.contains(to.index()) {
                     tally.dropped_messages += 1;
                     continue;
                 }
@@ -1526,8 +1682,15 @@ struct RunState<'g, P: Protocol> {
     /// phase compacts it with a stable `retain`, and reboots merge their
     /// ids back in order.
     ids: Vec<u32>,
-    /// Liveness per node id, read by delivery's drop decisions.
-    alive: Vec<bool>,
+    /// Liveness per node id: the steps, the crash and leave coins, the
+    /// inbox shuffle and delivery's drop decisions all read it.
+    live: LiveSet,
+    /// The ids whose step in the latest compute phase sent at least one
+    /// message: all that delivery drains.
+    senders: ShardIds,
+    /// The ids that halted in the latest compute phase: all that the halt
+    /// pass visits.
+    halters: ShardIds,
     outputs: Vec<Option<P::Output>>,
     stats: RunStats,
     /// Messages that crossed a shard boundary so far.
@@ -1538,14 +1701,61 @@ struct RunState<'g, P: Protocol> {
 }
 
 impl<'g, P: Protocol> RunState<'g, P> {
+    /// Compute phase of `round`: on the calling thread, or one scoped
+    /// thread per shard with active ids. Each shard's run of the active
+    /// list steps against its own state rows and fills its own slots of
+    /// the sender and halter lists, all taken with `split_at_mut`. The
+    /// phase's send meter, one per worker merged, goes into the run's
+    /// statistics.
+    fn compute(
+        &mut self,
+        round: usize,
+        layout: &Layout<'g>,
+        partition: &ShardPartition,
+        bit_budget: Option<usize>,
+    ) {
+        let (ids, live, mut rows) = (&self.ids[..], &self.live, &mut self.rows[..]);
+        let shards = shard_runs(ids, partition)
+            .zip(self.senders.shards_mut(partition))
+            .zip(self.halters.shards_mut(partition))
+            .map(|(((ids, shard), senders), halters)| ShardWork {
+                ids,
+                base: shard.start,
+                rows: take_front(&mut rows, shard.len()),
+                senders,
+                halters,
+            });
+        let step_shard = move |work| {
+            let mut meter = Meter::new(bit_budget);
+            Engine::<P>::step_all(work, round, layout, live, &mut meter);
+            meter
+        };
+        let meter = if runs_inline(ids.len(), partition.shards()) {
+            shards
+                .map(step_shard)
+                .fold(Meter::new(bit_budget), Meter::merge)
+        } else {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = shards
+                    .filter(|work| !work.ids.is_empty())
+                    .map(|work| scope.spawn(move || step_shard(work)))
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .fold(Meter::new(bit_budget), Meter::merge)
+            })
+        };
+        meter.add_to(&mut self.stats);
+    }
+
     /// Takes node `v` out of the run before a compute phase — a crash or a
     /// churn leave: it stops stepping, and delivery drops everything
     /// addressed to it. With `wipe`, its receive rows across the ring are
     /// cleared too and their messages counted as dropped, so a later
     /// [`reboot`](Self::reboot) starts from an empty inbox.
     fn depart(&mut self, v: usize, layout: &Layout<'g>, wipe: bool) {
-        self.rows[v].active = false;
-        self.alive[v] = false;
+        self.live.remove(v);
         if wipe {
             let (start, degree) = layout.row(v);
             self.stats.dropped_messages += layout.wipe(start, degree);
@@ -1564,23 +1774,19 @@ impl<'g, P: Protocol> RunState<'g, P> {
         state.rng = node_rng(phase_seed(self.seed, salt.wrapping_add(round as u64)), id);
         state.pending_halt = None;
         state.needs_init = true;
-        state.active = true;
-        self.alive[v] = true;
+        self.live.insert(v);
     }
 
     /// Rebuilds the active list from liveness, ascending: the merge after
-    /// reboots. Outside the delivery phase a node is alive exactly when it
-    /// is active, so this also drops nodes that departed earlier in the
-    /// round, which have nothing left to step or send.
+    /// reboots. This also drops nodes that departed earlier in the round,
+    /// which have nothing left to step or send.
     fn relist(&mut self) {
-        let alive = &self.alive;
         self.ids.clear();
-        self.ids
-            .extend((0..alive.len() as u32).filter(|&v| alive[v as usize]));
+        self.ids.extend(self.live.ids());
     }
 
-    /// Delivery phase: apply this round's halts, scatter every listed
-    /// node's send-plane row into the receive plane (split at
+    /// Delivery phase: apply this round's halts, drain the send-plane row
+    /// of every node that sent into the receive plane (split at
     /// `partition`'s shard boundaries, or on this thread when traced),
     /// then drop halted and departed ids from the active list with a
     /// stable `retain`. Runs after *all* nodes computed, so whether a
@@ -1594,14 +1800,12 @@ impl<'g, P: Protocol> RunState<'g, P> {
         round: usize,
         partition: &ShardPartition,
     ) {
-        for &v in &self.ids {
-            let (v, state) = (v as usize, &mut self.rows[v as usize]);
-            if let Some(out) = state.pending_halt.take() {
-                debug_assert!(state.active, "inactive nodes are never stepped");
-                self.outputs[v] = Some(out);
-                self.alive[v] = false;
-                state.active = false;
-            }
+        let halters = self.halters.runs(partition).flat_map(|(run, _)| run);
+        for &v in halters {
+            let v = v as usize;
+            debug_assert!(self.live.contains(v), "only live nodes step");
+            self.outputs[v] = self.rows[v].pending_halt.take();
+            self.live.remove(v);
         }
         // The receive plane this round's compute phase consumed is cleared
         // before anything is delivered: with the longest delay, delivery
@@ -1611,7 +1815,7 @@ impl<'g, P: Protocol> RunState<'g, P> {
         unsafe { layout.recv_for(round).occ_all() }.fill(0);
         let args = DeliverArgs {
             next: layout.recv_for(round + 1),
-            alive: &self.alive,
+            live: &self.live,
             round,
             adversary: config.adversary.filter(Adversary::affects_delivery),
             scheduler: config.scheduler.filter(|s| s.max_delay() > 0),
@@ -1620,10 +1824,10 @@ impl<'g, P: Protocol> RunState<'g, P> {
         let hooked = args.adversary.is_some() || args.scheduler.is_some() || edge_down.is_some();
         let tally = if config.record_traces {
             // Tracing pins delivery to ascending node-id order — the
-            // list's own order — and stays sequential: the documented
+            // lists' own order — and stays sequential: the documented
             // small-graph path. A trace's size is the one the sender was
             // metered for, since `unpack(pack(m)) == m`.
-            let (runs, traces) = (shard_runs(&self.ids, partition), &mut self.traces);
+            let (runs, traces) = (self.senders.runs(partition), &mut self.traces);
             let trace = |from, to, word| {
                 let bits = <P::Msg as PackedMsg>::unpack(word).bit_size();
                 traces.push(MessageTrace {
@@ -1636,16 +1840,14 @@ impl<'g, P: Protocol> RunState<'g, P> {
             // SAFETY: this thread delivers the whole phase.
             unsafe { Engine::<P>::deliver_all::<true>(runs, layout, &args, BitSet::Plain, trace) }
         } else if hooked {
-            Engine::<P>::deliver::<true>(&self.ids, layout, &args, partition)
+            Engine::<P>::deliver::<true>(&self.senders, layout, &args, partition)
         } else {
-            Engine::<P>::deliver::<false>(&self.ids, layout, &args, partition)
+            Engine::<P>::deliver::<false>(&self.senders, layout, &args, partition)
         };
         self.crossed += tally.crossed;
         tally.add_to(&mut self.stats);
-        // Outside the halting loop above, `alive` is exactly `active`, and
-        // it is the denser of the two to scan.
-        let alive = &self.alive;
-        self.ids.retain(|&v| alive[v as usize]);
+        let live = &self.live;
+        self.ids.retain(|&v| live.contains(v as usize));
     }
 }
 

@@ -22,8 +22,9 @@ use crate::Message;
 /// * `pack` only uses the low [`BITS`](Self::BITS) bits: for every `m`,
 ///   `pack(&m) >> BITS == 0` (for `BITS == 64` the condition is vacuous).
 ///   "High bits zero" is what lets the engine treat the word as the whole
-///   message — corruption, duplication, and fingerprinting all operate on
-///   the word.
+///   message: delivery and duplication move the word as it is, and only
+///   the trace and the corruption coin unpack it. Corruption garbles the
+///   *unpacked* message and repacks it (see the last point).
 /// * `BITS ≤ 64`. The engine forces the check at compile (monomorphization)
 ///   time by evaluating [`BITS_OK`](Self::BITS_OK), so an over-wide
 ///   implementation cannot run.

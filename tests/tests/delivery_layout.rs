@@ -279,3 +279,212 @@ fn multi_worker_delivery_matches_sequential_on_20k_nodes_under_faults() {
         .with_adversary(churn);
     assert_executors_agree(&g, &config, |_| LubyMis::new(), 13);
 }
+
+/// Rounds a [`Mover`] lasts at most: node `v` halts in round
+/// [`halt_round`]`(v)`, somewhere in `1..=MOVER_ROUNDS`.
+const MOVER_ROUNDS: usize = 6;
+
+/// A 64-bit mixer, so the per-node choices below are pure hashes.
+fn mix(x: u64) -> u64 {
+    let z = (x ^ (x >> 31)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let z = (z ^ (z >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z ^ (z >> 32)
+}
+
+/// The round in which `v` halts.
+fn halt_round(v: NodeId) -> usize {
+    1 + (mix(0x4A17 ^ u64::from(v.0)) % MOVER_ROUNDS as u64) as usize
+}
+
+/// Whether `v` sends in `round` at all: about three nodes in four do,
+/// each through the ports [`sends`] selects. One that selects no port
+/// sends nothing.
+fn speaks(v: NodeId, round: usize) -> bool {
+    !mix(u64::from(v.0) << 16 ^ round as u64).is_multiple_of(4)
+}
+
+/// Whether `from`, stepping in every round up to its halting one, sent
+/// to `to` in `round`.
+fn moves(from: NodeId, to: NodeId, round: usize) -> bool {
+    round <= halt_round(from) && speaks(from, round) && sends(from, to, round)
+}
+
+/// Sends in the rounds [`speaks`] picks, its halting round included,
+/// halts in [`halt_round`], and checks that every inbox holds exactly the
+/// messages its neighbours sent it. Outputs its halting round and how
+/// many messages it received.
+struct Mover {
+    received: u64,
+}
+
+impl Mover {
+    fn send_round(ctx: &mut Context<'_, u64>) {
+        let (me, round) = (ctx.id(), ctx.round());
+        for port in 0..ctx.degree() {
+            let to = ctx.neighbor(port);
+            if moves(me, to, round) {
+                ctx.send(port, payload(me, to, round));
+            }
+        }
+    }
+}
+
+impl Protocol for Mover {
+    type Msg = u64;
+    type Output = (usize, u64);
+
+    fn init(&mut self, ctx: &mut Context<'_, u64>) {
+        Self::send_round(ctx);
+    }
+
+    fn round(&mut self, ctx: &mut Context<'_, u64>, inbox: Inbox<'_, u64>) -> Status<(usize, u64)> {
+        let (me, round) = (ctx.id(), ctx.round());
+        assert!(round <= halt_round(me), "{me} stepped after halting");
+        let expected: Vec<(usize, u64)> = (0..ctx.degree())
+            .filter_map(|port| {
+                let from = ctx.neighbor(port);
+                moves(from, me, round - 1).then(|| (port, payload(from, me, round - 1)))
+            })
+            .collect();
+        assert_eq!(
+            inbox.iter().collect::<Vec<_>>(),
+            expected,
+            "{me} round {round}"
+        );
+        self.received += expected.len() as u64;
+        Self::send_round(ctx);
+        if round == halt_round(me) {
+            return Status::Halt((round, self.received));
+        }
+        Status::Active
+    }
+}
+
+/// What a [`Mover`] run on `g` must report, worked out from the hashes
+/// alone: the outputs, the statistics, every message in delivery order
+/// (ascending round, then sender, then port), and the messages that
+/// cross a boundary of each partition in `partitions`.
+struct MoverSpec {
+    outputs: Vec<Option<(usize, u64)>>,
+    stats: congest_sim::RunStats,
+    traces: Vec<congest_sim::MessageTrace>,
+    crossed: Vec<u64>,
+}
+
+fn mover_spec(g: &Graph, partitions: &[ShardPartition]) -> MoverSpec {
+    use congest_sim::Message;
+    let shard_of = |p: &ShardPartition, v: NodeId| {
+        (0..p.shards())
+            .find(|&s| p.range(s).contains(&v.index()))
+            .expect("the partition covers every node")
+    };
+    let mut received = vec![0u64; g.num_nodes()];
+    let mut stats = congest_sim::RunStats::default();
+    let mut traces = Vec::new();
+    let mut crossed = vec![0u64; partitions.len()];
+    for round in 0..=MOVER_ROUNDS {
+        for from in g.nodes() {
+            for &to in g.neighbor_ids(from) {
+                if !moves(from, to, round) {
+                    continue;
+                }
+                let bits = payload(from, to, round).bit_size();
+                stats.total_messages += 1;
+                stats.max_message_bits = stats.max_message_bits.max(bits);
+                if halt_round(to) <= round {
+                    stats.dropped_messages += 1;
+                } else {
+                    received[to.index()] += 1;
+                }
+                for (c, p) in crossed.iter_mut().zip(partitions) {
+                    *c += u64::from(shard_of(p, from) != shard_of(p, to));
+                }
+                traces.push(congest_sim::MessageTrace {
+                    round,
+                    from,
+                    to,
+                    bits,
+                });
+            }
+        }
+    }
+    stats.rounds = g.nodes().map(halt_round).max().unwrap_or(0);
+    let outputs = g
+        .nodes()
+        .map(|v| Some((halt_round(v), received[v.index()])))
+        .collect();
+    MoverSpec {
+        outputs,
+        stats,
+        traces,
+        crossed,
+    }
+}
+
+/// Runs [`Mover`] on `g` under `run`, `run_parallel_with(_, 2)`, an
+/// uneven 3-shard `run_sharded` and `with_traces()`, and checks each
+/// against [`mover_spec`]: outputs, statistics, traces, and the
+/// cross-shard meter of the 1-, 2- and 3-shard partitions (the first two
+/// are those of `run` and `run_parallel_with(_, 2)`).
+fn check_movers(g: &Graph) {
+    let n = g.num_nodes();
+    let partitions: Vec<_> = [1, 2, 3]
+        .into_iter()
+        .map(|k| ShardPartition::contiguous(n, k))
+        .collect();
+    let spec = mover_spec(g, &partitions);
+    let config = SimConfig::local();
+    let mover = |_: &_| Mover { received: 0 };
+    let seq = Engine::build(g, config.clone(), mover).run(3);
+    let par = Engine::build(g, config.clone(), mover).run_parallel_with(3, 2);
+    for (name, out) in [("run", &seq), ("run_parallel_with(2)", &par)] {
+        assert!(out.completed, "{name} on {n} nodes");
+        assert_eq!(out.outputs, spec.outputs, "{name} on {n} nodes");
+        assert_eq!(out.stats, spec.stats, "{name} on {n} nodes");
+    }
+    for (p, &crossed) in partitions.iter().zip(&spec.crossed) {
+        for traced in [false, true] {
+            let config = if traced {
+                config.clone().with_traces()
+            } else {
+                config.clone()
+            };
+            let what = format!("{} shards, traced {traced}, {n} nodes", p.shards());
+            let run = Engine::build(g, config, mover).run_sharded(3, p);
+            assert_eq!(run.outcome.outputs, spec.outputs, "{what}");
+            assert_eq!(run.outcome.stats, spec.stats, "{what}");
+            assert_eq!(run.cross_shard_messages, crossed, "{what}");
+            if traced {
+                assert_eq!(run.outcome.traces, spec.traces, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn senders_and_halters_are_exact_where_workers_spawn() {
+    // 6,001 nodes: the 3-shard partition is uneven (2,001 / 2,000 /
+    // 2,000), and its boundaries fall inside words of the liveness
+    // bitset.
+    let n = 6_001;
+    let mut rng = SmallRng::seed_from_u64(26);
+    let g = generators::gnp_skip(n, 8.0 / (n - 1) as f64, &mut rng);
+    // The first phases have at least 1,024 active ids and 1,024 senders
+    // per shard on 3 shards, so their compute and delivery run on worker
+    // threads; later phases shrink below that and run inline.
+    let round0_senders = g
+        .nodes()
+        .filter(|&v| g.neighbor_ids(v).iter().any(|&to| moves(v, to, 0)))
+        .count();
+    assert!(round0_senders >= 3 * 1024, "{round0_senders} senders");
+    check_movers(&g);
+}
+
+#[test]
+fn senders_and_halters_are_exact_at_the_ends_of_the_liveness_words() {
+    for n in [1usize, 63, 64, 65, 129] {
+        let mut rng = SmallRng::seed_from_u64(n as u64);
+        let g = generators::gnp(n, 0.15, &mut rng);
+        check_movers(&g);
+    }
+}
